@@ -242,6 +242,10 @@ def mlasce_run(
             raise ValueError(f"unsupported smoothness {v!r}")
     costs = [inc.cost_per_eval for inc in incs]
     weights = list(costs) if a is None else [float(w) for w in np.broadcast_to(a, (L,))]
+    if not all(math.isfinite(w) and w > 0.0 for w in weights):
+        raise ValueError(f"weights must be finite and positive, got {weights}")
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget!r}")
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
         raise BudgetError(

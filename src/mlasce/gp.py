@@ -2,11 +2,11 @@
 
 The smoothness nu and the nugget are held fixed; the correlation length and
 the marginal variance are estimated by maximum likelihood. The variance is
-profiled out analytically (its conditional optimum given the correlation
-length is available in closed form), leaving a bounded one-dimensional
-search over log correlation length started from a fixed log-uniform
-lattice. All posterior quantities are computed against a cached Cholesky
-factor of the unit-variance correlation matrix.
+profiled out in closed form, leaving a search over log correlation length:
+a fixed log-uniform lattice, its correlation matrices factorized as one
+stack (or one by one with jitter escalation if any is not positive
+definite), then a bounded Brent refine around the best point. Posterior
+quantities use a cached Cholesky factor of the correlation matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize_scalar
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
@@ -24,18 +24,50 @@ from .kernels import (
     KernelSpec,
     as_design,
     chol_factor,
+    chol_stack,
     corr_vector,
     matern_corr,
 )
 
-_N_STARTS = 8
-_NM_OPTIONS = {"maxfev": 60, "xatol": 1e-3, "fatol": 1e-9}
-
 # Search-box constants: lam in [LAM_LO, LAM_HI] * diameter, sigma2 in
-# [SIG_LO, SIG_HI] * sample variance of y.
+# [SIG_LO, SIG_HI] * sample variance of y (or * 1 if that is zero).
 _LAM_LO, _LAM_HI = 1e-2, 10.0
 _SIG_LO, _SIG_HI = 1e-8, 1e4
-_SIGMA2_FLOOR = 1e-8
+
+# Log-lam search: _LATTICE points over the interior of a 10-point log-uniform
+# split of the box, in stacks of at most _STACK_ENTRIES floats; the Brent
+# refine stops at _XATOL (in log lam) and must beat the lattice by over _FTOL.
+_LATTICE = 36
+_STACK_ENTRIES = 1 << 20
+_XATOL = 1e-5
+_FTOL = 1e-9
+
+
+def _checked(X, y):
+    """Validated (n, d) design and length-n finite observations, n >= 1."""
+    X = as_design(X)
+    y = np.asarray(y, dtype=float).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"{X.shape[0]} inputs but {y.shape[0]} outputs")
+    if X.shape[0] < 1:
+        raise ValueError("need at least one training point")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observations contain non-finite entries")
+    return X, y
+
+
+def _profile(dist, y, nu, lam, nugget):
+    """Factor of R = corr(dist; nu, lam) + nugget*I, y^T R^{-1} y, log det R.
+
+    An array of lam gives one stack (LinAlgError if any R is not positive definite).
+    """
+    lam = np.asarray(lam, dtype=float)
+    R = matern_corr(dist, nu, lam[..., None, None])
+    idx = np.arange(dist.shape[0])
+    R[..., idx, idx] += nugget
+    fac = chol_factor(R, jitter0=nugget) if lam.ndim == 0 else chol_stack(R)
+    z = fac.solve_lower(y[:, None])[..., 0]
+    return fac, np.einsum("...i,...i->...", z, z), fac.logdet
 
 
 @dataclass(frozen=True)
@@ -55,19 +87,11 @@ class GPModel:
     @classmethod
     def from_spec(cls, X, y, spec):
         """Build a model with fixed hyperparameters (no estimation)."""
-        X = as_design(X)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ValueError(f"{X.shape[0]} inputs but {y.shape[0]} outputs")
-        if X.shape[0] < 1:
-            raise ValueError("need at least one training point")
+        X, y = _checked(X, y)
         if spec.sigma2 <= 0.0:
             raise ValueError("model construction requires sigma2 > 0")
-        R = matern_corr(cdist(X, X), spec.nu, spec.lam)
-        R[np.diag_indices_from(R)] += spec.nugget
-        fac = chol_factor(R, jitter0=spec.nugget)
-        alpha = fac.solve(y) / spec.sigma2
-        return cls(X=X, y=y, spec=spec, chol=fac, alpha=alpha)
+        fac, _, _ = _profile(cdist(X, X), y, spec.nu, spec.lam, spec.nugget)
+        return cls(X=X, y=y, spec=spec, chol=fac, alpha=fac.solve(y) / spec.sigma2)
 
     @property
     def n(self):
@@ -94,94 +118,77 @@ def lambda_bounds(diameter):
     return _LAM_LO * D, _LAM_HI * D
 
 
-def _diameter(domain, X):
+def _diameter(domain, dist):
     if domain is not None:
         lo, hi = np.asarray(domain[0], float).ravel(), np.asarray(domain[1], float).ravel()
         return float(np.linalg.norm(hi - lo))
-    if X.shape[0] < 2:
-        return 0.0
-    return float(cdist(X, X).max())
+    return float(dist.max())
 
 
 def log_marginal_likelihood(X, y, spec):
     """Zero-mean Gaussian log likelihood of y under cov_matrix(X, spec)."""
-    X = as_design(X)
-    y = np.asarray(y, dtype=float).ravel()
-    n = X.shape[0]
-    R = matern_corr(cdist(X, X), spec.nu, spec.lam)
-    R[np.diag_indices_from(R)] += spec.nugget
-    fac = chol_factor(R, jitter0=spec.nugget)
-    z = fac.solve_lower(y)
-    quad = float(z @ z) / spec.sigma2
-    logdet = n * math.log(spec.sigma2) + fac.logdet
-    return -0.5 * (quad + logdet + n * math.log(2.0 * math.pi))
+    X, y = _checked(X, y)
+    _, quad, logdet = _profile(cdist(X, X), y, spec.nu, spec.lam, spec.nugget)
+    s2 = spec.sigma2
+    return -0.5 * float(quad / s2 + logdet + y.size * math.log(2.0 * math.pi * s2))
 
 
 def fit(X, y, nu, nugget=0.0, domain=None):
     """Maximum-likelihood GP fit with fixed nu and nugget.
 
     ``domain`` (a (lo, hi) pair) sets the correlation-length search box via
-    its diameter; when omitted the design's own diameter is used.
+    its diameter; when omitted the design's own diameter is used. The
+    lattice (ties to the first point) scores the profiled likelihood of
+    y / sd(y); Brent then refines between the best point's neighbours (at
+    an end, out to the box bound, itself also tried), winning on a gain
+    above _FTOL.
     """
-    X = as_design(X)
-    y = np.asarray(y, dtype=float).ravel()
+    X, y = _checked(X, y)
     n = X.shape[0]
-    if n != y.shape[0]:
-        raise ValueError(f"{n} inputs but {y.shape[0]} outputs")
-    if n < 1:
-        raise ValueError("need at least one training point")
-
-    lam_lo, lam_hi = lambda_bounds(_diameter(domain, X))
+    dist = cdist(X, X)
+    lam_lo, lam_hi = lambda_bounds(_diameter(domain, dist))
     if n == 1:
         # One point pins only the scale; the likelihood is flat in lam.
-        sigma2 = max(float(y[0]) ** 2, _SIGMA2_FLOOR)
         lam = math.sqrt(lam_lo * lam_hi)
+        sigma2 = max(float(y[0]) ** 2, _SIG_LO)
         return GPModel.from_spec(X, y, KernelSpec(nu, lam, sigma2, nugget))
 
     v = float(np.var(y))
-    if not (np.isfinite(v) and v > 0.0):
-        v = 1.0
-    sig_lo, sig_hi = _SIG_LO * v, _SIG_HI * v
+    v = v if np.isfinite(v) and v > 0.0 else 1.0
+    ys = y / math.sqrt(v)
 
-    dist = cdist(X, X)
-    diag = np.diag_indices(n)
-    log_lo, log_hi = math.log(lam_lo), math.log(lam_hi)
-
-    def profiled_nll(loglam):
-        # 2x negative profile log likelihood up to the 2*pi constant.
-        lam = math.exp(min(max(loglam[0], log_lo), log_hi))
-        R = matern_corr(dist, nu, lam)
-        R[diag] += nugget
+    def objective(loglam):
+        # 2x negative profile log likelihood of ys less 2*pi terms, per loglam.
         try:
-            fac = chol_factor(R, jitter0=nugget)
+            _, q, logdet = _profile(dist, ys, nu, np.exp(loglam), nugget)
         except FactorizationError:
-            return np.inf
-        z = fac.solve_lower(y)
-        q = float(z @ z)
-        sigma2 = min(max(q / n, sig_lo), sig_hi)
-        return q / sigma2 + n * math.log(sigma2) + fac.logdet
+            return math.inf
+        except np.linalg.LinAlgError:
+            return np.array([objective(t) for t in loglam])
+        sigma2 = np.clip(q / n, _SIG_LO, _SIG_HI)
+        return q / sigma2 + n * np.log(sigma2) + logdet
 
-    starts = np.linspace(log_lo, log_hi, _N_STARTS + 2)[1:-1]
-    best_val, best_loglam = np.inf, None
-    for s in starts:
-        res = minimize(
-            profiled_nll,
-            [s],
-            method="Nelder-Mead",
-            bounds=[(log_lo, log_hi)],
-            options=_NM_OPTIONS,
-        )
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val, best_loglam = res.fun, float(res.x[0])
-    if best_loglam is None:
-        raise FactorizationError("every hyperparameter start failed to factorize")
+    log_lo, log_hi = math.log(lam_lo), math.log(lam_hi)
+    grid = np.linspace(*np.linspace(log_lo, log_hi, 10)[[1, 8]], _LATTICE)
+    per = max(1, _STACK_ENTRIES // (n * n))  # lattice points per stack
+    vals = np.concatenate([objective(grid[i:i + per]) for i in range(0, grid.size, per)])
+    k = int(np.argmin(vals))
+    best_val, best_loglam = float(vals[k]), float(grid[k])
+    if not np.isfinite(best_val):
+        raise FactorizationError("every lattice point failed to factorize")
+    # Brent's bracket: the best point's neighbours, or the box bound at an end.
+    lo, hi = np.r_[log_lo, grid, log_hi][[k, k + 2]]
+    res = minimize_scalar(
+        objective, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL}
+    )
+    ends = [(t, objective(t)) for t in (lo, hi) if t in (log_lo, log_hi)]
+    for loglam, val in [(float(res.x), float(res.fun))] + ends:
+        if val < best_val - _FTOL:
+            best_val, best_loglam = val, loglam
 
-    lam = math.exp(min(max(best_loglam, log_lo), log_hi))
-    R = matern_corr(dist, nu, lam)
-    R[diag] += nugget
-    fac = chol_factor(R, jitter0=nugget)
-    z = fac.solve_lower(y)
-    sigma2 = min(max(float(z @ z) / n, sig_lo), sig_hi)
+    lam = min(max(math.exp(best_loglam), lam_lo), lam_hi)
+    fac, q, _ = _profile(dist, y, nu, lam, nugget)
+    sigma2 = float(min(max(q / n, _SIG_LO * v), _SIG_HI * v))
     spec = KernelSpec(nu, lam, sigma2, nugget)
     return GPModel(X=X, y=y, spec=spec, chol=fac, alpha=fac.solve(y) / sigma2)
 

@@ -122,7 +122,12 @@ def corr_vector(Xq, X, spec):
 
 
 class CholeskyFactor:
-    """Lower Cholesky factor of an SPD matrix plus the extra jitter used."""
+    """Lower Cholesky factor of an SPD matrix plus the extra jitter used.
+
+    ``lower`` may also hold a (K, n, n) stack of factors (see chol_stack);
+    ``solve_lower`` then solves against each factor in turn and ``logdet``
+    has shape (K,).
+    """
 
     __slots__ = ("lower", "jitter")
 
@@ -132,16 +137,23 @@ class CholeskyFactor:
 
     def solve(self, b):
         """Solve A x = b with A = L L^T."""
-        z = solve_triangular(self.lower, b, lower=True)
-        return solve_triangular(self.lower, z, lower=True, trans="T")
+        z = self.solve_lower(b)
+        return solve_triangular(self.lower, z, lower=True, trans="T", check_finite=False)
 
     def solve_lower(self, b):
         """Solve L z = b (half solve; useful for quadratic forms)."""
-        return solve_triangular(self.lower, b, lower=True)
+        if self.lower.ndim == 3:
+            return np.stack([_half_solve(L, b) for L in self.lower])
+        return _half_solve(self.lower, b)
 
     @property
     def logdet(self):
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+        return 2.0 * np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _half_solve(L, b):
+    # One 2-D triangular solve; older scipy releases reject a stacked matrix.
+    return solve_triangular(L, b, lower=True, check_finite=False)
 
 
 def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX):
@@ -170,6 +182,18 @@ def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX):
                 ) from None
 
 
+def chol_stack(A):
+    """Cholesky-factorize a (K, n, n) stack of matrices in one call, no jitter.
+
+    Raises LinAlgError if any matrix in the stack is not positive definite;
+    callers fall back to chol_factor per matrix.
+    """
+    return CholeskyFactor(np.linalg.cholesky(A))
+
+
 def chol_solve(A, B, jitter0=0.0):
     """Solve A X = B for symmetric positive definite A via chol_factor."""
-    return chol_factor(A, jitter0=jitter0).solve(np.asarray(B, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if not np.all(np.isfinite(B)):
+        raise ValueError("right-hand side contains non-finite entries")
+    return chol_factor(A, jitter0=jitter0).solve(B)

@@ -63,6 +63,8 @@ class PlanParams:
             raise ValueError("dimension must be at least 1")
         if self.alpha <= 0:
             raise ValueError("scale exponent must be positive")
+        if not math.isfinite(self.budget):
+            raise ValueError(f"budget must be finite, got {self.budget!r}")
         if self.budget < sum(t):
             raise InfeasibleError("budget must cover at least one run per level")
 

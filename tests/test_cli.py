@@ -116,6 +116,15 @@ class TestPlanCommand:
         cfg = write_config(tmp_path, TABLE_CONFIG)
         assert main(["plan", "--config", cfg, "--budget", "10.0"]) == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_flag_is_config_error(self, tmp_path, budget):
+        cfg = write_config(tmp_path, TABLE_CONFIG)
+        assert main(["plan", "--config", cfg, "--budget", budget]) == EXIT_CONFIG
+
+    def test_non_finite_config_budget_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, dict(TABLE_CONFIG, budget=math.nan))
+        assert main(["plan", "--config", cfg]) == EXIT_CONFIG
+
     def test_json_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TABLE_CONFIG)
         assert main(["plan", "--config", cfg, "--format", "json"]) == 0
@@ -143,6 +152,26 @@ class TestRunCommand:
     def test_budget_below_initialization(self, tmp_path):
         cfg = write_config(tmp_path, TOY3_CONFIG)
         assert main(["run", "--config", cfg, "--budget", "50"]) == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("budget", math.nan),
+            ("budget", math.inf),
+            ("weights", [1.0, math.nan, 1.0]),
+            ("weights", [1.0, math.inf, 1.0]),
+            ("weights", [1.0, 0.0, 1.0]),
+            ("weights", [1.0, -1.0, 1.0]),
+        ],
+    )
+    def test_invalid_budget_or_weights_is_config_error(self, tmp_path, key, value):
+        doc = dict(TOY3_CONFIG, **{key: value})
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    def test_non_finite_budget_flag_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, TOY3_CONFIG)
+        assert main(["run", "--config", cfg, "--budget", "nan"]) == EXIT_CONFIG
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG

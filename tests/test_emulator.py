@@ -138,6 +138,16 @@ class TestMlasceRun:
         with pytest.raises(BudgetError):
             mlasce_run(toy_ladder(), budget=50.0, nu=2.5, seed=0)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            mlasce_run(toy_ladder(), budget=budget, nu=2.5, seed=0, n_grid=41)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_invalid_weights(self, a):
+        with pytest.raises(ValueError, match="weights"):
+            mlasce_run(toy_ladder(), budget=200.0, nu=2.5, a=[1.0, a, 1.0], seed=0, n_grid=41)
+
     def test_exact_initialization_budget(self):
         em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
         assert em.counts == [1, 1, 1]

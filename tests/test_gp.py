@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from mlasce import gp, kernels
+from mlasce.errors import FactorizationError
 from mlasce.gp import (
     GPModel,
     fit,
@@ -22,7 +24,7 @@ from mlasce.gp import (
     rkhs_norm_sq,
     sup_power,
 )
-from mlasce.kernels import KernelSpec, cov_matrix, matern
+from mlasce.kernels import SUPPORTED_NU, KernelSpec, corr_matrix, cov_matrix, matern
 
 
 def dense_posterior(X, y, spec, xq):
@@ -303,3 +305,102 @@ class TestFitDeterminism:
         b = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
         assert a.spec == b.spec
         np.testing.assert_array_equal(a.alpha, b.alpha)
+
+
+def profiled_nll(X, y, nu, lam, nugget):
+    """Oracle: negative log likelihood at lam with sigma2 at its clamped optimum."""
+    R = corr_matrix(X, KernelSpec(nu, lam, 1.0, nugget))
+    v = float(np.var(y)) or 1.0
+    sigma2 = min(max(float(y @ np.linalg.solve(R, y)) / len(y), 1e-8 * v), 1e4 * v)
+    return -log_marginal_likelihood(X, y, KernelSpec(nu, lam, sigma2, nugget))
+
+
+class TestFitSearch:
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    @pytest.mark.parametrize("n", [2, 5, 15, 30])
+    def test_no_worse_than_dense_scan(self, nu, n):
+        rng = np.random.default_rng(100 + n)
+        X = rng.uniform(0.0, math.pi, size=n)
+        y = np.sin(2.0 * X) + 0.1 * rng.normal(size=n)
+        model = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+        lo, hi = lambda_bounds(math.pi)
+        scan = []
+        for lam in np.exp(np.linspace(math.log(lo), math.log(hi), 400)):
+            try:
+                scan.append(profiled_nll(X, y, nu, lam, 1e-8))
+            except FactorizationError:  # not factorizable here even with jitter
+                continue
+        got = -log_marginal_likelihood(X, y, model.spec)
+        assert got <= min(scan) + 1e-6
+
+    def test_stacked_cholesky_fallback(self, monkeypatch):
+        failures, chol_stack = [], gp.chol_stack
+
+        def spy(A):
+            try:
+                return chol_stack(A)
+            except np.linalg.LinAlgError:
+                failures.append(A.shape)
+                raise
+
+        monkeypatch.setattr(gp, "chol_stack", spy)
+        X = np.linspace(0.0, 1.0, 12)
+        y = np.cos(3.0 * X)
+        a = fit(X, y, nu=math.inf, nugget=0.0, domain=(0.0, 1.0))
+        b = fit(X, y, nu=math.inf, nugget=0.0, domain=(0.0, 1.0))
+        assert failures
+        assert a.spec == b.spec
+        np.testing.assert_array_equal(a.alpha, b.alpha)
+        assert np.all(np.isfinite(a.alpha))
+
+    def test_without_batched_triangular_solve(self, monkeypatch):
+        # Older scipy releases reject a stacked matrix in solve_triangular.
+        solve_triangular = kernels.solve_triangular
+
+        def two_d_only(a, b, **kwargs):
+            if np.ndim(a) != 2:
+                raise ValueError("expected square matrix")
+            return solve_triangular(a, b, **kwargs)
+
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.0, math.pi, size=8)
+        y = np.sin(X) + 0.1 * rng.normal(size=8)
+        batched = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
+        monkeypatch.setattr(kernels, "solve_triangular", two_d_only)
+        sliced = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
+        assert sliced.spec == batched.spec
+        np.testing.assert_array_equal(sliced.alpha, batched.alpha)
+
+    def test_flat_likelihood_takes_first_lattice_point(self):
+        model = fit([0.0, math.pi], [1.0, -1.0], nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
+        lo, hi = lambda_bounds(math.pi)
+        first = math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) / 9.0)
+        assert model.spec.lam == pytest.approx(first, rel=1e-12)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.5])
+    def test_white_noise_lands_on_lower_bound(self, nu):
+        # The likelihood of iid noise keeps falling as lam shrinks, so the
+        # optimum is the box bound itself, not a Brent point just inside it.
+        X = np.linspace(0.0, math.pi, 25)
+        y = np.random.default_rng(3).normal(size=25)
+        model = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+        assert model.spec.lam == pytest.approx(lambda_bounds(math.pi)[0], rel=1e-12)
+
+    def test_chunked_lattice_matches_single_stack(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0.0, math.pi, size=10)
+        y = np.sin(X) + 0.1 * rng.normal(size=10)
+        whole = fit(X, y, nu=1.5, nugget=1e-8, domain=(0.0, math.pi))
+        monkeypatch.setattr(gp, "_STACK_ENTRIES", 1)
+        chunked = fit(X, y, nu=1.5, nugget=1e-8, domain=(0.0, math.pi))
+        assert chunked.spec == whole.spec
+
+
+class TestNonFiniteObservations:
+    def test_fit_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit([0.0, 1.0, 2.0], [0.5, math.nan, 1.0], nu=2.5, nugget=1e-8)
+
+    def test_from_spec_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            GPModel.from_spec([0.0, 1.0], [math.nan, 1.0], KernelSpec(2.5, 1.0, 1.0))

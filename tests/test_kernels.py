@@ -17,6 +17,7 @@ from mlasce.kernels import (
     KernelSpec,
     chol_factor,
     chol_solve,
+    chol_stack,
     cov_matrix,
     matern,
 )
@@ -187,6 +188,29 @@ class TestCholSolve:
         fac = chol_factor(np.eye(2))
         assert isinstance(fac, CholeskyFactor)
         assert fac.jitter == 0.0
+
+    def test_rejects_non_finite_rhs(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            chol_solve(np.eye(2), np.array([1.0, np.nan]))
+
+
+class TestCholStack:
+    def test_matches_per_matrix_factor(self):
+        rng = np.random.default_rng(11)
+        M = rng.normal(size=(4, 6, 6))
+        A = M @ M.transpose(0, 2, 1) + 6.0 * np.eye(6)
+        b = rng.normal(size=(6, 1))
+        stack = chol_stack(A)
+        for k in range(4):
+            fac = chol_factor(A[k])
+            np.testing.assert_allclose(stack.lower[k], fac.lower, atol=1e-12)
+            assert stack.logdet[k] == pytest.approx(fac.logdet, rel=1e-12)
+            np.testing.assert_allclose(stack.solve_lower(b)[k], fac.solve_lower(b), atol=1e-12)
+
+    def test_one_indefinite_matrix_fails_the_stack(self):
+        A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+        with pytest.raises(np.linalg.LinAlgError):
+            chol_stack(A)
 
 
 class TestHigherDimensions:

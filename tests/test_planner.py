@@ -110,6 +110,11 @@ class TestSolveAllocation:
         with pytest.raises(InfeasibleError):
             solve_allocation(tight)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="finite"):
+            PlanParams(h=(1.0, 0.5), t=(1.0, 10.0), nu=2.5, d=1, alpha=1.0, budget=budget)
+
     def test_never_loses_to_rounded_closed_form(self):
         params = PlanParams(**TABLE)
         plan = solve_allocation(params)
