@@ -156,6 +156,11 @@ class RunConfig:
         self.stabilizer = float(doc.get("stabilizer", 1.0))
         self.alpha = float(doc.get("alpha", 1.0))
         self.truth = doc.get("truth")
+        if self.truth is not None and self.domain[0].size != 1:
+            # Every builtin truth is a 1-D toy; fail before any run is paid for.
+            raise ConfigError(
+                f"truth {self.truth!r} needs a 1-D domain, got d={self.domain[0].size}"
+            )
         self.weights = doc.get("weights", "cost")
         self.levels = []
         for i, entry in enumerate(levels):

@@ -5,7 +5,8 @@ variance at a candidate to its predictive variance under a GP conditioned
 on the remaining candidates with a stabilized nugget. The denominator for
 every candidate at once comes from the diagonal of the inverse candidate
 correlation matrix (the conditional variance of one Gaussian coordinate
-given the rest), so each step costs a single factorization.
+given the rest), so each step costs one Cholesky plus one in-place
+triangular inverse.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.linalg import lapack
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import CandidatesExhausted, FactorizationError, SimulatorError
 from .gp import GPModel, fit, posterior_batch
@@ -104,8 +106,9 @@ def _stabilized_nugget(state):
 
 
 def _corr_gram(pts, spec, diag_add):
-    R = matern_corr(cdist(pts, pts), spec.nu, spec.lam)
-    R[np.diag_indices_from(R)] += diag_add
+    # The kernel runs once per pair; matern_corr(0) == 1 on the diagonal.
+    R = squareform(matern_corr(pdist(pts), spec.nu, spec.lam), checks=False)
+    R[np.diag_indices_from(R)] = 1.0 + diag_add
     return R
 
 
@@ -120,7 +123,7 @@ def mice_criterion(state, x, cand_rest):
     model = state.model
     spec = model.spec
     tau_bar = _stabilized_nugget(state)
-    xq = as_design(x)
+    xq = as_design(np.reshape(x, (1, -1)))
     _, num = posterior_batch(model, xq)
     num = float(num[0])
     if len(cand_rest) == 0:
@@ -135,11 +138,14 @@ def mice_criterion(state, x, cand_rest):
 
 
 def mice_scores(state, points):
-    """Criterion values for every candidate point in one factorization.
+    """Criterion values for every candidate point in one Cholesky plus one
+    in-place triangular inverse.
 
     The denominator for candidate i is sigma2 / [(R + tau I)^{-1}]_{ii},
     the conditional variance of coordinate i given all other candidates;
     this equals the per-candidate conditioning of mice_criterion exactly.
+    With R + tau I = L L^T that diagonal is the squared column norms of
+    L^{-1}, which LAPACK trtri writes over L.
     """
     model = state.model
     spec = model.spec
@@ -149,7 +155,9 @@ def mice_scores(state, points):
     if len(pts) == 1:
         return num / (spec.sigma2 * (1.0 + tau_bar))
     fac = chol_factor(_corr_gram(pts, spec, tau_bar), jitter0=tau_bar)
-    Linv = fac.solve_lower(np.eye(len(pts)))
+    Linv, info = lapack.dtrtri(fac.lower, lower=1, overwrite_c=1)
+    if info != 0:
+        raise FactorizationError(f"triangular inverse failed (info={info})")
     inv_diag = np.einsum("ij,ij->j", Linv, Linv)
     den = spec.sigma2 / inv_diag
     return num / den
@@ -231,6 +239,8 @@ def mice_run(
     n_initial = min(n_initial, n_target)
     if n_initial < 1:
         raise ValueError("need at least one initial point")
+    if not (np.isfinite(tau2_s) and tau2_s >= 0.0):
+        raise ValueError(f"stabilizer tau2_s must be finite and >= 0, got {tau2_s!r}")
     ss = np.random.SeedSequence(seed)
     grid_seed, init_seed, loop_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
     cands = generate_grid(domain, n_grid, grid_seed)

@@ -246,6 +246,8 @@ def mlasce_run(
         raise ValueError(f"weights must be finite and positive, got {weights}")
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
+    if not (math.isfinite(tau2_s) and tau2_s >= 0.0):
+        raise ValueError(f"stabilizer tau2_s must be finite and >= 0, got {tau2_s!r}")
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
         raise BudgetError(

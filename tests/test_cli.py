@@ -173,6 +173,24 @@ class TestRunCommand:
         cfg = write_config(tmp_path, TOY3_CONFIG)
         assert main(["run", "--config", cfg, "--budget", "nan"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_invalid_stabilizer_is_config_error(self, tmp_path, value):
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, stabilizer=value))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+
+    def test_truth_on_2d_domain_fails_before_any_evaluation(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return float(np.sum(x))
+
+        monkeypatch.setattr("mlasce.cli.resolve_simulator", lambda entry: spy)
+        doc = dict(TOY3_CONFIG, domain=[[0.0, 0.0], [1.0, 1.0]])
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert calls == []
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 

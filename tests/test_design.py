@@ -5,22 +5,27 @@ rebuilds every numerator and denominator with plain dense numpy algebra.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from mlasce import design
 from mlasce.design import (
     CandidateSet,
     DesignState,
+    _corr_gram,
+    _select,
     generate_grid,
     mice_criterion,
     mice_run,
     mice_scores,
     mice_step,
 )
-from mlasce.errors import CandidatesExhausted
+from mlasce.errors import CandidatesExhausted, FactorizationError
 from mlasce.gp import GPModel, sup_power
-from mlasce.kernels import KernelSpec, matern_corr
+from mlasce.kernels import SUPPORTED_NU, CholeskyFactor, KernelSpec, matern_corr
 
 
 def brute_scores(state, points):
@@ -55,6 +60,13 @@ def make_state(X, y, spec, tau2=1e-8, tau2_s=1.0):
     X = np.atleast_2d(np.asarray(X, float).reshape(-1, 1))
     model = GPModel.from_spec(X, y, spec)
     return DesignState(X=X, y=np.asarray(y, float), model=model, tau2=tau2, tau2_s=tau2_s)
+
+
+def make_state_2d(spec, tau2_s=1.0, n=6, seed=5):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, 2))
+    model = GPModel.from_spec(X, rng.normal(size=n), spec)
+    return DesignState(X=X, y=model.y, model=model, tau2=1e-8, tau2_s=tau2_s)
 
 
 class TestGenerateGrid:
@@ -132,6 +144,81 @@ class TestMiceCriterion:
             ]
         )
         np.testing.assert_allclose(fast, slow, rtol=1e-9)
+
+
+class TestMiceScores:
+    """The batched path: one Cholesky plus one in-place triangular inverse."""
+
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_equals_per_candidate_criterion_2d(self, nu):
+        spec = KernelSpec(nu=nu, lam=0.3, sigma2=1.7, nugget=1e-8)
+        state = make_state_2d(spec)
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(200, 2))
+        fast = mice_scores(state, pts)
+        slow = np.array(
+            [
+                mice_criterion(state, pts[i], np.delete(pts, i, axis=0))
+                for i in range(len(pts))
+            ]
+        )
+        np.testing.assert_allclose(fast, slow, rtol=1e-9)
+        assert int(np.argmax(fast)) == int(np.argmax(slow))
+
+    def test_jittered_factor_matches_raised_stabilizer(self, monkeypatch):
+        # When chol_factor has to add jitter, the scores are those of the
+        # matrix it actually factorised: stabilizer tau_bar + extra.
+        extra = 0.25
+        real = design.chol_factor
+
+        def jittered(A, jitter0=0.0):
+            fac = real(A + extra * np.eye(len(A)), jitter0=jitter0)
+            return CholeskyFactor(fac.lower, extra)
+
+        spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
+        state = make_state_2d(spec, tau2_s=0.5)
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, size=(40, 2))
+        monkeypatch.setattr(design, "chol_factor", jittered)
+        got = mice_scores(state, pts)
+        monkeypatch.undo()
+        oracle = brute_scores(replace(state, tau2_s=0.5 + extra), pts)
+        np.testing.assert_allclose(got, oracle, rtol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_corr_gram_bitwise_equal_to_dense(self, nu, d):
+        pts = np.random.default_rng(11).uniform(0.0, 2.0, size=(97, d))
+        spec = KernelSpec(nu=nu, lam=0.35, sigma2=1.0)
+        dense = matern_corr(cdist(pts, pts), nu, spec.lam)
+        dense[np.diag_indices_from(dense)] += 0.3
+        assert np.array_equal(_corr_gram(pts, spec, 0.3), dense)
+
+    def test_single_candidate(self):
+        spec = KernelSpec(nu=1.5, lam=0.5, sigma2=2.0, nugget=1e-8)
+        state = make_state_2d(spec)
+        pts = np.array([[0.4, 0.6]])
+        got = mice_scores(state, pts)
+        assert got.shape == (1,)
+        np.testing.assert_allclose(got, brute_scores(state, pts), rtol=1e-12)
+        assert got[0] == pytest.approx(mice_criterion(state, pts[0], np.empty((0, 2))))
+
+    def test_two_candidates(self):
+        spec = KernelSpec(nu=2.5, lam=0.5, sigma2=2.0, nugget=1e-8)
+        state = make_state_2d(spec)
+        pts = np.array([[0.1, 0.2], [0.8, 0.7]])
+        np.testing.assert_allclose(mice_scores(state, pts), brute_scores(state, pts), rtol=1e-9)
+
+    def test_failed_inverse_falls_back_to_per_candidate(self, monkeypatch):
+        spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.0, nugget=1e-8)
+        state = make_state_2d(spec)
+        grid = np.random.default_rng(2).uniform(0.0, 1.0, size=(12, 2))
+        cands = CandidateSet(grid=grid, cand=np.arange(12), rng_seed=0)
+        expected = _select(state, cands)[1]
+        monkeypatch.setattr(
+            design.lapack, "dtrtri", lambda c, lower=0, overwrite_c=0: (c, 3)
+        )
+        with pytest.raises(FactorizationError, match="info=3"):
+            mice_scores(state, grid)
+        assert _select(state, cands)[1] == expected
 
 
 class TestMiceStep:
@@ -230,6 +317,24 @@ class TestMiceRun:
             resample_grid=True,
         )
         assert len(np.unique(state.X.ravel())) == 8
+
+
+class TestStabilizerValidation:
+    @pytest.mark.parametrize("tau2_s", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_stabilizer_rejected_before_any_evaluation(self, tau2_s):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return 0.0
+
+        with pytest.raises(ValueError, match="stabilizer"):
+            mice_run(spy, (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=tau2_s)
+        assert calls == []
+
+    def test_zero_stabilizer_accepted(self):
+        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=0.0)
+        assert state.X.shape == (5, 1)
 
 
 class TestSimulatorFailures:

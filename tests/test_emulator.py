@@ -148,6 +148,11 @@ class TestMlasceRun:
         with pytest.raises(ValueError, match="weights"):
             mlasce_run(toy_ladder(), budget=200.0, nu=2.5, a=[1.0, a, 1.0], seed=0, n_grid=41)
 
+    @pytest.mark.parametrize("tau2_s", [math.nan, math.inf, -1.0])
+    def test_rejects_invalid_stabilizer(self, tau2_s):
+        with pytest.raises(ValueError, match="stabilizer"):
+            mlasce_run(toy_ladder(), budget=200.0, nu=2.5, tau2_s=tau2_s, seed=0, n_grid=41)
+
     def test_exact_initialization_budget(self):
         em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
         assert em.counts == [1, 1, 1]
