@@ -337,7 +337,12 @@ def cmd_predict(args):
                 raise ConfigError(
                     f"{args.points}:{ln}: expected {d} coordinates, got {len(coords)}"
                 )
-            points.append([float(v) for v in coords])
+            try:
+                points.append([float(v) for v in coords])
+            except ValueError:
+                raise ConfigError(
+                    f"{args.points}:{ln}: coordinates must be numbers, got {line!r}"
+                ) from None
     X = np.asarray(points, dtype=float)
     mean, var = predict_batch(emulator, X)
     sd = np.sqrt(np.maximum(var, 0.0))

@@ -5,8 +5,10 @@ variance at a candidate to its predictive variance under a GP conditioned
 on the remaining candidates with a stabilized nugget. The denominator for
 every candidate at once comes from the diagonal of the inverse candidate
 correlation matrix (the conditional variance of one Gaussian coordinate
-given the rest), so each step costs one Cholesky plus one in-place
-triangular inverse.
+given the rest). Each step fills one Fortran-ordered candidate Gram,
+evaluating the kernel in column blocks once per pair, then factorises
+and inverts it in that same buffer: one Cholesky plus one triangular
+inverse, both in place.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import CandidatesExhausted, FactorizationError, SimulatorError
 from .gp import GPModel, fit, posterior_batch
@@ -26,6 +28,10 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TAU2 = 1e-8
 DEFAULT_TAU2_S = 1.0
+
+# Columns of the candidate Gram evaluated per kernel call: keeps the
+# kernel's temporaries at m x 32 floats instead of m^2 / 2.
+_GRAM_BLOCK = 32
 
 
 def domain_arrays(domain):
@@ -85,7 +91,12 @@ def generate_grid(domain, n_grid, seed, mode="auto"):
         if d == 1:
             pts = np.linspace(lo[0], hi[0], n_grid).reshape(-1, 1)
         else:
-            m = max(2, int(np.floor(n_grid ** (1.0 / d))))
+            # The largest m with m**d <= n_grid, checked in integers: the
+            # float root of an exact power can fall just below it.
+            m = int(round(n_grid ** (1.0 / d)))
+            while m ** d > n_grid:
+                m -= 1
+            m = max(2, m)
             axes = [np.linspace(lo[j], hi[j], m) for j in range(d)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.column_stack([ax.ravel() for ax in mesh])
@@ -106,9 +117,18 @@ def _stabilized_nugget(state):
 
 
 def _corr_gram(pts, spec, diag_add):
-    # The kernel runs once per pair; matern_corr(0) == 1 on the diagonal.
-    R = squareform(matern_corr(pdist(pts), spec.nu, spec.lam), checks=False)
-    R[np.diag_indices_from(R)] = 1.0 + diag_add
+    # One Fortran-ordered buffer that chol_factor and dtrtri then overwrite
+    # in place. Each column block is one kernel call on the pairs from the
+    # block down (once per pair, block-sized temporaries); its transpose
+    # fills the upper triangle. matern_corr(0) == 1 on the diagonal.
+    m = len(pts)
+    R = np.empty((m, m), order="F")
+    for j0 in range(0, m, _GRAM_BLOCK):
+        j1 = min(j0 + _GRAM_BLOCK, m)
+        block = matern_corr(cdist(pts[j0:], pts[j0:j1]), spec.nu, spec.lam)
+        R[j0:, j0:j1] = block
+        R[j0:j1, j0:] = block.T
+    np.fill_diagonal(R, 1.0 + diag_add)
     return R
 
 
@@ -139,7 +159,7 @@ def mice_criterion(state, x, cand_rest):
 
 def mice_scores(state, points):
     """Criterion values for every candidate point in one Cholesky plus one
-    in-place triangular inverse.
+    triangular inverse, both in the candidate Gram's own buffer.
 
     The denominator for candidate i is sigma2 / [(R + tau I)^{-1}]_{ii},
     the conditional variance of coordinate i given all other candidates;
@@ -154,7 +174,7 @@ def mice_scores(state, points):
     _, num = posterior_batch(model, pts)
     if len(pts) == 1:
         return num / (spec.sigma2 * (1.0 + tau_bar))
-    fac = chol_factor(_corr_gram(pts, spec, tau_bar), jitter0=tau_bar)
+    fac = chol_factor(_corr_gram(pts, spec, tau_bar), jitter0=tau_bar, overwrite_a=True)
     Linv, info = lapack.dtrtri(fac.lower, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"triangular inverse failed (info={info})")

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
@@ -156,30 +156,71 @@ def _half_solve(L, b):
     return solve_triangular(L, b, lower=True, check_finite=False)
 
 
-def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX):
+def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
     """Cholesky-factorize A, escalating diagonal jitter on failure.
 
     The first attempt adds nothing; subsequent attempts add
     max(jitter0, 1e-12) * 10^k to the diagonal until max_jitter is exceeded.
+
+    With ``overwrite_a`` (the same name and meaning as in scipy.linalg) A
+    must be a symmetric, Fortran-ordered float64 array: it is factorised
+    in its own storage, which on return holds the factor with the strict
+    upper triangle zeroed. After a FactorizationError its contents are
+    unspecified.
     """
-    A = np.asarray(A, dtype=float)
+    if overwrite_a:
+        if not (
+            isinstance(A, np.ndarray) and A.dtype == np.float64 and A.flags.f_contiguous
+        ):
+            raise ValueError("overwrite_a needs a Fortran-ordered float64 array")
+    else:
+        A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
+    diag = np.diagonal(A).copy() if overwrite_a else None
     base = max(jitter0, _JITTER_FLOOR)
     extra = 0.0
     while True:
-        try:
-            M = A if extra == 0.0 else A + extra * np.eye(n)
-            L = cholesky(M, lower=True, check_finite=False)
+        if overwrite_a:
+            L = _potrf_in_place(A, diag, extra)
+        else:
+            L = _potrf_copy(A, extra)
+        if L is not None:
             return CholeskyFactor(L, extra)
-        except LinAlgError:
-            extra = base * 10.0 if extra == 0.0 else extra * 10.0
-            if extra > max_jitter:
-                raise FactorizationError(
-                    f"matrix not positive definite after jitter up to {extra:.3e}",
-                    jitter=extra,
-                ) from None
+        extra = base * 10.0 if extra == 0.0 else extra * 10.0
+        if extra > max_jitter:
+            raise FactorizationError(
+                f"matrix not positive definite after jitter up to {extra:.3e}",
+                jitter=extra,
+            )
+
+
+def _potrf_copy(A, extra):
+    """Lower factor of A + extra I in new storage, or None if not positive definite."""
+    M = A if extra == 0.0 else A + extra * np.eye(A.shape[0])
+    try:
+        return cholesky(M, lower=True, check_finite=False)
+    except LinAlgError:
+        return None
+
+
+def _potrf_in_place(A, diag, extra):
+    """Lower factor of A + extra I written over A, or None if not positive definite."""
+    n = A.shape[0]
+    if extra != 0.0:
+        # A failed potrf wrote only the lower triangle; the strict upper
+        # one still holds the matrix, so mirror it back.
+        for j in range(n):
+            A[j + 1:, j] = A[j, j + 1:]
+        np.fill_diagonal(A, diag + extra)
+    L, info = lapack.dpotrf(A, lower=1, overwrite_a=1, clean=0)
+    if info != 0:
+        return None
+    # Column by column: no index or mask arrays the size of A.
+    for j in range(1, n):
+        A[:j, j] = 0.0
+    return L
 
 
 def chol_stack(A):

@@ -236,6 +236,18 @@ class TestPredictCommand:
             assert got_s == pytest.approx(v, abs=1e-12)
 
 
+    @pytest.mark.parametrize("bad", ["abc", "0.5 abc", "1e-3x"])
+    def test_bad_coordinate_exits_2_with_location(self, tmp_path, capsys, bad):
+        cfg = write_config(tmp_path, TOY3_CONFIG)
+        art = tmp_path / "model.json"
+        assert main(["run", "--config", cfg, "--out", str(art)]) == 0
+        capsys.readouterr()
+        pts = tmp_path / "points.txt"
+        pts.write_text(f"0.5\n{bad}\n")
+        assert main(["predict", "--artifact", str(art), "--points", str(pts)]) == 2
+        assert f"{pts}:2:" in capsys.readouterr().err
+
+
 class TestExternalSimulator:
     def test_constant_stub(self):
         val = external_simulator_eval(

@@ -5,6 +5,7 @@ rebuilds every numerator and denominator with plain dense numpy algebra.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from mlasce import design
 from mlasce.design import (
     CandidateSet,
     DesignState,
+    _GRAM_BLOCK,
     _corr_gram,
     _select,
     generate_grid,
@@ -56,6 +58,16 @@ def brute_scores(state, points):
     return out
 
 
+def assert_gram_is_dense(pts, nu):
+    """_corr_gram is Fortran-ordered and bitwise equal to the dense cdist Gram."""
+    spec = KernelSpec(nu=nu, lam=0.35, sigma2=1.0)
+    dense = matern_corr(cdist(pts, pts), nu, spec.lam)
+    dense[np.diag_indices_from(dense)] += 0.3
+    R = _corr_gram(pts, spec, 0.3)
+    assert R.flags.f_contiguous
+    assert np.array_equal(R, dense)
+
+
 def make_state(X, y, spec, tau2=1e-8, tau2_s=1.0):
     X = np.atleast_2d(np.asarray(X, float).reshape(-1, 1))
     model = GPModel.from_spec(X, y, spec)
@@ -87,6 +99,20 @@ class TestGenerateGrid:
         for j in range(2):
             strata = np.floor(cs.grid[:, j] * 100).astype(int)
             assert sorted(strata) == list(range(100))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tensor_grid_exact_power(self, d):
+        # 1000 ** (1/3) is 9.999... in floating point; the axis count must
+        # still be 10.
+        for m in (2, 3, 5, 10):
+            cs = generate_grid(([0.0] * d, [1.0] * d), m ** d, seed=0, mode="grid")
+            assert cs.grid.shape == (m ** d, d)
+            for j in range(d):
+                np.testing.assert_array_equal(np.unique(cs.grid[:, j]), np.linspace(0, 1, m))
+
+    def test_tensor_grid_non_power_rounds_down(self):
+        cs = generate_grid(([0.0] * 3, [1.0] * 3), 999, seed=0, mode="grid")
+        assert cs.grid.shape == (9 ** 3, 3)
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -170,8 +196,11 @@ class TestMiceScores:
         extra = 0.25
         real = design.chol_factor
 
-        def jittered(A, jitter0=0.0):
-            fac = real(A + extra * np.eye(len(A)), jitter0=jitter0)
+        def jittered(A, jitter0=0.0, overwrite_a=False):
+            # A Fortran-ordered identity keeps the sum Fortran-ordered, as
+            # the in-place path requires.
+            jA = A + extra * np.eye(len(A), order="F")
+            fac = real(jA, jitter0=jitter0, overwrite_a=overwrite_a)
             return CholeskyFactor(fac.lower, extra)
 
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
@@ -186,11 +215,32 @@ class TestMiceScores:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     def test_corr_gram_bitwise_equal_to_dense(self, nu, d):
-        pts = np.random.default_rng(11).uniform(0.0, 2.0, size=(97, d))
-        spec = KernelSpec(nu=nu, lam=0.35, sigma2=1.0)
-        dense = matern_corr(cdist(pts, pts), nu, spec.lam)
-        dense[np.diag_indices_from(dense)] += 0.3
-        assert np.array_equal(_corr_gram(pts, spec, 0.3), dense)
+        assert_gram_is_dense(np.random.default_rng(11).uniform(0.0, 2.0, size=(97, d)), nu)
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1, 300]
+    )
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_corr_gram_across_block_edges(self, nu, d, m):
+        assert_gram_is_dense(np.random.default_rng(m).uniform(0.0, 2.0, size=(m, d)), nu)
+
+    def test_peak_memory_is_one_gram(self):
+        # The Gram is factorised and inverted in its own buffer and the
+        # kernel runs on column blocks, so numpy's peak stays near one
+        # m x m array.
+        m = 600
+        spec = KernelSpec(nu=3.5, lam=0.3, sigma2=1.3, nugget=1e-8)
+        state = make_state_2d(spec)
+        pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(m, 2))
+        mice_scores(state, pts)
+        tracemalloc.start()
+        try:
+            mice_scores(state, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * m * m * 8
 
     def test_single_candidate(self):
         spec = KernelSpec(nu=1.5, lam=0.5, sigma2=2.0, nugget=1e-8)

@@ -18,6 +18,7 @@ from mlasce.kernels import (
     chol_factor,
     chol_solve,
     chol_stack,
+    corr_matrix,
     cov_matrix,
     matern,
 )
@@ -192,6 +193,48 @@ class TestCholSolve:
     def test_rejects_non_finite_rhs(self):
         with pytest.raises(ValueError, match="non-finite"):
             chol_solve(np.eye(2), np.array([1.0, np.nan]))
+
+
+def near_duplicate_gram(shift):
+    """Gaussian Gram over 40 point pairs 1e-6 apart, diagonal lowered by shift."""
+    base = np.random.default_rng(5).uniform(0.0, 1.0, size=(40, 2))
+    pts = np.vstack([base, base + 1e-6])
+    R = corr_matrix(pts, KernelSpec(nu=math.inf, lam=1.0, sigma2=1.0))
+    R[np.diag_indices_from(R)] -= shift
+    return R
+
+
+class TestCholFactorInPlace:
+    # shift -1e-3 factorises as given; 0 needs one escalation, 5e-10 three.
+    @pytest.mark.parametrize("shift", [-1e-3, 0.0, 5e-10])
+    def test_bitwise_equal_to_copying_path(self, shift):
+        R = near_duplicate_gram(shift)
+        ref = chol_factor(R, jitter0=1e-14)
+        A = np.asfortranarray(R)
+        fac = chol_factor(A, jitter0=1e-14, overwrite_a=True)
+        assert (ref.jitter > 0.0) == (shift >= 0.0)
+        assert fac.jitter == ref.jitter
+        assert np.shares_memory(fac.lower, A)
+        assert np.array_equal(fac.lower, ref.lower)
+
+    @pytest.mark.parametrize(
+        "A, max_jitter",
+        [(np.array([[1.0, 2.0], [2.0, 1.0]]), 1e-4), (near_duplicate_gram(5e-10), 1e-10)],
+    )
+    def test_same_error_past_max_jitter(self, A, max_jitter):
+        with pytest.raises(FactorizationError) as ref:
+            chol_factor(A, max_jitter=max_jitter)
+        with pytest.raises(FactorizationError) as got:
+            chol_factor(np.asfortranarray(A), max_jitter=max_jitter, overwrite_a=True)
+        assert got.value.jitter == ref.value.jitter
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize(
+        "A", [np.ascontiguousarray(np.eye(3)), np.asfortranarray(np.eye(3, dtype=int))]
+    )
+    def test_rejects_non_fortran_float64(self, A):
+        with pytest.raises(ValueError, match="Fortran-ordered float64"):
+            chol_factor(A, overwrite_a=True)
 
 
 class TestCholStack:

@@ -1,0 +1,95 @@
+"""Property tests for invariants the rest of the package relies on.
+
+Examples are drawn deterministically (``derandomize``), so a run of the
+suite is repeatable; each property still sees a broad spread of inputs.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from mlasce.errors import FactorizationError
+from mlasce.gp import GPModel, posterior_batch
+from mlasce.kernels import SUPPORTED_NU, KernelSpec, chol_factor, corr_matrix
+from mlasce.planner import _round_counts
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
+
+unit = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def designs(draw, max_n=12):
+    """(n, d) points on a coarse lattice, so exact duplicates are common."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
+    coords = st.sampled_from(np.linspace(0.0, 1.0, 6)) | unit
+    return draw(arrays(float, (n, d), elements=coords))
+
+
+@st.composite
+def feasible_rounding(draw):
+    L = draw(st.integers(1, 5))
+    t = draw(arrays(float, L, elements=st.floats(0.1, 100.0)))
+    n = draw(arrays(float, L, elements=st.floats(0.0, 1000.0)))
+    # Feasible: one run per level fits.
+    budget = float(np.sum(t)) * (1.0 + draw(st.floats(0.0, 10.0)))
+    return n, t, budget
+
+
+@PROPERTY
+@given(feasible_rounding())
+def test_round_counts_positive_and_within_budget(case):
+    n, t, budget = case
+    counts = _round_counts(n, t, budget)
+    assert np.all(counts >= 1)
+    assert counts @ t <= budget * (1.0 + 1e-9)
+
+
+@PROPERTY
+@given(
+    X=designs(),
+    nu=st.sampled_from(SUPPORTED_NU),
+    lam=st.floats(0.05, 5.0),
+    shift=st.floats(-1e-3, 1e-3),
+    jitter0=st.sampled_from([0.0, 1e-14, 1e-8, 1e-3]),
+    max_jitter=st.sampled_from([1e-10, 1e-6, 1e-4]),
+)
+def test_chol_factor_jitter_bounded_in_both_modes(X, nu, lam, shift, jitter0, max_jitter):
+    A = corr_matrix(X, KernelSpec(nu=nu, lam=lam, sigma2=1.0))
+    A[np.diag_indices_from(A)] -= shift
+    results = []
+    for overwrite_a in (False, True):
+        M = np.asfortranarray(A) if overwrite_a else A
+        try:
+            fac = chol_factor(M, jitter0=jitter0, max_jitter=max_jitter, overwrite_a=overwrite_a)
+        except FactorizationError as exc:
+            assert exc.jitter > max_jitter
+            results.append((None, exc.jitter))
+        else:
+            assert 0.0 <= fac.jitter <= max_jitter
+            results.append((fac.lower, fac.jitter))
+    # Both modes reach the same outcome with bitwise the same factor.
+    (ref, ref_jitter), (got, got_jitter) = results
+    assert got_jitter == ref_jitter
+    assert np.array_equal(got, ref)
+
+
+@PROPERTY
+@given(
+    X=designs(),
+    Xq=arrays(float, (20, 3), elements=unit),
+    nu=st.sampled_from(SUPPORTED_NU),
+    lam=st.floats(0.05, 5.0),
+    sigma2=st.floats(1e-3, 1e3),
+    nugget=st.sampled_from([0.0, 1e-12]) | st.floats(1e-8, 1e-1),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_posterior_variance_within_prior(X, Xq, nu, lam, sigma2, nugget, seed):
+    y = np.random.default_rng(seed).normal(size=len(X))
+    spec = KernelSpec(nu=nu, lam=lam, sigma2=sigma2, nugget=nugget)
+    model = GPModel.from_spec(X, y, spec)
+    _, var = posterior_batch(model, np.vstack([Xq[:, :X.shape[1]], X]))
+    assert np.all(var >= 0.0)
+    assert np.all(var <= sigma2 * (1.0 + nugget))
