@@ -81,23 +81,6 @@ def xi5(x, a):
     return out
 
 
-def xi5_breakpoint_report():
-    """Mismatch of adjacent xi5 pieces at its breakpoints x = a and x = a + 1.
-
-    Evaluates each piece's formula exactly at the breakpoint (independent
-    of a) so any discontinuity in the printed form shows up as a jump.
-    """
-    at_a_left = 0.15 * (0.0 + 1.0) ** 2
-    at_a_mid = 0.3 * (1.0 - 0.5 * (0.0 - 1.0) ** 2)
-    g1 = math.exp(-12.0)
-    at_a1_mid = 0.3 * g1 * (1.0 - 0.5 * (1.0 - 1.0) ** 2)
-    at_a1_right = 0.3 * g1
-    return {
-        "jump_at_a": abs(at_a_mid - at_a_left),
-        "jump_at_a_plus_1": abs(at_a1_right - at_a1_mid),
-    }
-
-
 def toy3_f(level, x):
     """Three-level suite: sine trend plus progressively finer bumps."""
     x = np.asarray(x, dtype=float)
@@ -256,11 +239,8 @@ def nested_baseline_designs(suite, budget, seed):
     return [d.reshape(-1, 1) for d in designs]
 
 
-def ar1_cokriging_fit(suite, nested_designs, rho_mode="constant", nu=2.5,
-                      nugget=DEFAULT_TAU2):
+def ar1_cokriging_fit(suite, nested_designs, nu=2.5, nugget=DEFAULT_TAU2):
     """Fit the constant-rho auto-regressive baseline on nested designs."""
-    if rho_mode != "constant":
-        raise ValueError("only the constant-rho baseline is supported")
     designs = [np.asarray(d, dtype=float).reshape(-1, 1) for d in nested_designs]
     for fine, coarse in zip(designs[1:], designs[:-1]):
         fine_set = set(map(float, fine.ravel()))

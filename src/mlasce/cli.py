@@ -327,6 +327,7 @@ def cmd_predict(args):
     emulator = load_artifact(args.artifact)
     d = emulator.levels[0].model.dim
     points = []
+    line_nos = []
     with open(args.points) as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -343,7 +344,11 @@ def cmd_predict(args):
                 raise ConfigError(
                     f"{args.points}:{ln}: coordinates must be numbers, got {line!r}"
                 ) from None
+            line_nos.append(ln)
     X = np.asarray(points, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
+    if bad.size:
+        raise ConfigError(f"{args.points}:{line_nos[bad[0]]}: coordinates must be finite")
     mean, var = predict_batch(emulator, X)
     sd = np.sqrt(np.maximum(var, 0.0))
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["mean", "sd"])
@@ -363,13 +368,6 @@ def cmd_bench(args):
     if args.nu:
         parts = [float(v) for v in args.nu.split(",")]
         nu = parts[0] if len(parts) == 1 else tuple(parts)
-    if suite.name == "toy5":
-        jumps = bench.xi5_breakpoint_report()
-        print(
-            "xi5 self-check: piece mismatch {jump_at_a:.3e} at the center, "
-            "{jump_at_a_plus_1:.3e} one unit right".format(**jumps),
-            file=sys.stderr,
-        )
     results = []
     for method in methods:
         results.extend(

@@ -55,10 +55,6 @@ class CandidateSet:
     cand: np.ndarray
     rng_seed: int
 
-    @property
-    def points(self):
-        return self.grid[self.cand]
-
     def without(self, grid_index):
         return replace(self, cand=self.cand[self.cand != grid_index])
 
@@ -96,7 +92,8 @@ def generate_grid(domain, n_grid, seed, mode="auto"):
             m = int(round(n_grid ** (1.0 / d)))
             while m ** d > n_grid:
                 m -= 1
-            m = max(2, m)
+            if m < 2:
+                raise ValueError(f"{d}-D tensor grid needs n_grid >= {2 ** d}, got {n_grid}")
             axes = [np.linspace(lo[j], hi[j], m) for j in range(d)]
             mesh = np.meshgrid(*axes, indexing="ij")
             pts = np.column_stack([ax.ravel() for ax in mesh])
@@ -204,12 +201,15 @@ def _select(state, cands):
             raise FactorizationError(
                 "every candidate produced a degenerate denominator"
             ) from None
-    # Scores within a 4e-12 relative band of the maximum count as tied;
-    # ties break to the lowest candidate index.
-    top = float(np.max(scores))
-    tied = np.nonzero(scores >= top - 4e-12 * abs(top))[0]
-    chosen = int(active[int(tied[0])])
+    chosen = int(active[_first_max(scores)])
     return cands.grid[chosen].copy(), chosen
+
+
+def _first_max(scores):
+    """First index within 4e-12 relative of the top score: ties go to the lowest."""
+    scores = np.asarray(scores, dtype=float)
+    top = float(np.max(scores))
+    return int(np.flatnonzero(scores >= top - 4e-12 * abs(top))[0])
 
 
 def mice_step(state, cands):
@@ -246,15 +246,13 @@ def mice_run(
     n_grid=101,
     n_initial=3,
     spec=None,
-    resample_grid=False,
-    max_candidates=None,
 ):
     """Run the full select-evaluate-refit loop up to n_target points.
 
-    With ``spec`` given the hyperparameters stay fixed (no refitting);
-    otherwise the correlation length and variance are re-estimated after
-    every evaluation. ``resample_grid`` redraws the stratified grid each
-    iteration instead of keeping it fixed.
+    After n_initial random grid points, each point is the ``mice_step``
+    pick among the unused candidates. With ``spec`` given the
+    hyperparameters stay fixed (no refitting); otherwise the correlation
+    length and variance are re-estimated after every evaluation.
     """
     n_initial = min(n_initial, n_target)
     if n_initial < 1:
@@ -262,7 +260,7 @@ def mice_run(
     if not (np.isfinite(tau2_s) and tau2_s >= 0.0):
         raise ValueError(f"stabilizer tau2_s must be finite and >= 0, got {tau2_s!r}")
     ss = np.random.SeedSequence(seed)
-    grid_seed, init_seed, loop_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
+    grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     cands = generate_grid(domain, n_grid, grid_seed)
     rng = np.random.default_rng(init_seed)
 
@@ -277,35 +275,10 @@ def mice_run(
         return fit(X, y, nu, nugget=nugget, domain=domain)
 
     state = DesignState(X=X, y=y, model=refit(X, y), tau2=nugget, tau2_s=tau2_s)
-    loop_rng = np.random.default_rng(loop_seed)
-    k = n_initial
-    while k < n_target:
-        step_cands = cands
-        if resample_grid:
-            step_cands = generate_grid(
-                domain, n_grid, int(loop_rng.integers(2 ** 31)), mode="stratified"
-            )
-            step_cands = _drop_selected(step_cands, state.X)
-        if max_candidates is not None and step_cands.cand.size > max_candidates:
-            keep = np.sort(
-                loop_rng.choice(step_cands.cand, size=max_candidates, replace=False)
-            )
-            step_cands = replace(step_cands, cand=keep)
-        x, chosen = _select(state, step_cands)
-        if not resample_grid:
-            cands = cands.without(chosen)
+    while state.model.n < n_target:
+        x, cands = mice_step(state, cands)
         y_new = _evaluate(simulator, x)
         X = np.vstack([state.X, x])
         y = np.append(state.y, y_new)
         state = replace(state, X=X, y=y, model=refit(X, y))
-        k += 1
     return state
-
-
-def _drop_selected(cands, X):
-    keep = [
-        i
-        for i in cands.cand
-        if not np.any(np.all(np.isclose(cands.grid[i], X, atol=1e-13), axis=1))
-    ]
-    return replace(cands, cand=np.asarray(keep, dtype=int))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .design import (
     CandidateSet,
     DesignState,
     _evaluate,
+    _first_max,
     _select,
     generate_grid,
 )
@@ -127,14 +128,8 @@ class LevelState:
     model: GPModel
     cost_per_eval: float
     weight: float
-    gamma: float
+    gamma: float = 0.0
     cands: CandidateSet | None = None
-    tau2: float = DEFAULT_TAU2
-    tau2_s: float = DEFAULT_TAU2_S
-
-    @property
-    def n(self):
-        return self.model.n
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,7 @@ class MultilevelEmulator:
 
     @property
     def counts(self):
-        return [lv.n for lv in self.levels]
+        return [lv.model.n for lv in self.levels]
 
     @classmethod
     def from_models(cls, models, domain, costs=None, weights=None, budget=0.0):
@@ -175,7 +170,7 @@ class MultilevelEmulator:
             c = 1.0 if costs is None else costs[i]
             w = c if weights is None else weights[i]
             levels.append(
-                LevelState(level=i + 1, model=m, cost_per_eval=c, weight=w, gamma=0.0)
+                LevelState(level=i + 1, model=m, cost_per_eval=c, weight=w)
             )
         return cls(levels=levels, domain=domain, budget=budget, spent=0.0)
 
@@ -223,7 +218,6 @@ def mlasce_run(
     nugget=DEFAULT_TAU2,
     tau2_s=DEFAULT_TAU2_S,
     n_grid=101,
-    max_candidates=None,
 ):
     """Greedy budget-constrained construction of the multilevel emulator.
 
@@ -231,8 +225,10 @@ def mlasce_run(
     increment's cost (so the default score is the undamped extension
     score). Levels are extended by the effective-score argmax among those
     still affordable (ties to the lowest level), where the effective score
-    adds the breadth-first exploration floor described above. The run is
-    deterministic given the seed (an integer, or one integer per level).
+    adds the breadth-first exploration floor described above. A level's
+    random opening point and each later MICE pick take the same step:
+    evaluate, refit, rescore, charge the ledger. The run is deterministic
+    given the seed (an integer, or one integer per level).
     """
     incs = increments(ladder)
     L = ladder.L
@@ -257,99 +253,28 @@ def mlasce_run(
     # seed may be a single integer (per-level streams are spawned from it)
     # or one integer per level.
     if np.ndim(seed) == 0:
-        children = np.random.SeedSequence(int(seed)).spawn(L + 1)
+        children = np.random.SeedSequence(int(seed)).spawn(L)
     else:
-        per_level = [int(s) for s in seed]
-        if len(per_level) != L:
-            raise ValueError(f"expected {L} per-level seeds, got {len(per_level)}")
-        children = [np.random.SeedSequence(s) for s in per_level]
-        children.append(np.random.SeedSequence(entropy=per_level, spawn_key=(L,)))
+        children = [np.random.SeedSequence(int(s)) for s in seed]
+        if len(children) != L:
+            raise ValueError(f"expected {L} per-level seeds, got {len(children)}")
     levels = []
     ledger = []
     spent = 0.0
-    for i, inc in enumerate(incs):
-        grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
-        cands = generate_grid(ladder.domain, n_grid, grid_seed)
-        rng = np.random.default_rng(init_seed)
-        start = int(rng.integers(len(cands.grid)))
-        x = cands.grid[start].copy()
-        cands = cands.without(start)
+
+    def extend(lv, x, chosen, iteration):
+        # The one step for opening points and MICE picks; before is None on the first.
+        nonlocal spent
         try:
-            d_val = _evaluate(inc.eval, x)
-        except SimulatorError as exc:
-            exc.level = inc.level
-            raise
-        model = fit(x.reshape(1, -1), [d_val], nus[i], nugget=nugget, domain=ladder.domain)
-        gamma = score(None, model, weights[i], costs[i])
-        levels.append(
-            LevelState(
-                level=inc.level,
-                model=model,
-                cost_per_eval=costs[i],
-                weight=weights[i],
-                gamma=gamma,
-                cands=cands,
-                tau2=nugget,
-                tau2_s=tau2_s,
-            )
-        )
-        spent += costs[i]
-        ledger.append(
-            LedgerEntry(
-                iteration=0,
-                level=inc.level,
-                x=tuple(x.tolist()),
-                delta=d_val,
-                cost=costs[i],
-            )
-        )
-
-    sub_rng = np.random.default_rng(children[L])
-    iteration = 0
-
-    def effective(lv):
-        if lv.model.n < EXPLORE_POINTS and spent < EXPLORE_BUDGET_FRACTION * budget:
-            floor = (lv.weight / lv.cost_per_eval) / lv.model.n
-            return max(lv.gamma, floor)
-        return lv.gamma
-
-    while True:
-        remaining = budget - spent
-        affordable = [
-            i
-            for i, lv in enumerate(levels)
-            if lv.cost_per_eval <= remaining + 1e-9 and lv.cands.cand.size > 0
-        ]
-        if not affordable:
-            break
-        # Scores within a 4e-12 relative band of the maximum count as tied;
-        # ties break to the lowest level.
-        top = max(effective(levels[i]) for i in affordable)
-        pick = next(
-            i for i in affordable if effective(levels[i]) >= top - 4e-12 * abs(top)
-        )
-        iteration += 1
-        lv = levels[pick]
-        step_cands = lv.cands
-        if max_candidates is not None and step_cands.cand.size > max_candidates:
-            keep = np.sort(
-                sub_rng.choice(step_cands.cand, size=max_candidates, replace=False)
-            )
-            step_cands = replace(step_cands, cand=keep)
-        state = DesignState(
-            X=lv.model.X, y=lv.model.y, model=lv.model, tau2=lv.tau2, tau2_s=lv.tau2_s
-        )
-        x, chosen = _select(state, step_cands)
-        try:
-            d_val = _evaluate(incs[pick].eval, x)
+            d_val = _evaluate(incs[lv.level - 1].eval, x)
         except SimulatorError as exc:
             exc.level = lv.level
             raise
-        X = np.vstack([lv.model.X, x])
-        y = np.append(lv.model.y, d_val)
-        new_model = fit(X, y, nus[pick], nugget=nugget, domain=ladder.domain)
-        lv.gamma = score(lv.model, new_model, lv.weight, lv.cost_per_eval)
-        lv.model = new_model
+        before = lv.model
+        X = x.reshape(1, -1) if before is None else np.vstack([before.X, x])
+        y = np.append([] if before is None else before.y, d_val)
+        lv.model = fit(X, y, nus[lv.level - 1], nugget=nugget, domain=ladder.domain)
+        lv.gamma = score(before, lv.model, lv.weight, lv.cost_per_eval)
         lv.cands = lv.cands.without(chosen)
         spent += lv.cost_per_eval
         ledger.append(
@@ -361,6 +286,45 @@ def mlasce_run(
                 cost=lv.cost_per_eval,
             )
         )
+
+    for i, inc in enumerate(incs):
+        grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
+        cands = generate_grid(ladder.domain, n_grid, grid_seed)
+        start = int(np.random.default_rng(init_seed).integers(len(cands.grid)))
+        lv = LevelState(
+            level=inc.level,
+            model=None,
+            cost_per_eval=costs[i],
+            weight=weights[i],
+            cands=cands,
+        )
+        levels.append(lv)
+        extend(lv, cands.grid[start].copy(), start, iteration=0)
+
+    def effective(lv):
+        if lv.model.n < EXPLORE_POINTS and spent < EXPLORE_BUDGET_FRACTION * budget:
+            floor = (lv.weight / lv.cost_per_eval) / lv.model.n
+            return max(lv.gamma, floor)
+        return lv.gamma
+
+    iteration = 0
+    while True:
+        remaining = budget - spent
+        affordable = [
+            i
+            for i, lv in enumerate(levels)
+            if lv.cost_per_eval <= remaining + 1e-9 and lv.cands.cand.size > 0
+        ]
+        if not affordable:
+            break
+        pick = affordable[_first_max([effective(levels[i]) for i in affordable])]
+        iteration += 1
+        lv = levels[pick]
+        state = DesignState(
+            X=lv.model.X, y=lv.model.y, model=lv.model, tau2=nugget, tau2_s=tau2_s
+        )
+        x, chosen = _select(state, lv.cands)
+        extend(lv, x, chosen, iteration)
 
     return MultilevelEmulator(
         levels=levels,

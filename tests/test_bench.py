@@ -20,7 +20,6 @@ from mlasce.bench import (
     toy5_f,
     xi,
     xi5,
-    xi5_breakpoint_report,
 )
 from mlasce.errors import InfeasibleError
 from mlasce.kernels import KernelSpec, matern
@@ -52,10 +51,6 @@ class TestToyFunctions:
         )
 
     def test_xi5_pieces_meet_continuously(self):
-        report = xi5_breakpoint_report()
-        assert report["jump_at_a"] == pytest.approx(0.0, abs=1e-15)
-        assert report["jump_at_a_plus_1"] == pytest.approx(0.0, abs=1e-15)
-        # numerical check across the breakpoints as implemented
         a = PI / 8
         for b in (a, a + 1.0):
             left = xi5(np.array([b - 1e-9]), a)[0]

@@ -114,6 +114,18 @@ class TestGenerateGrid:
         cs = generate_grid(([0.0] * 3, [1.0] * 3), 999, seed=0, mode="grid")
         assert cs.grid.shape == (9 ** 3, 3)
 
+    def test_tensor_grid_below_two_per_axis_rejected(self):
+        # Two points per axis is the smallest tensor grid: 2**3 = 8 in 3-D.
+        with pytest.raises(ValueError, match="n_grid >= 8"):
+            generate_grid(([0.0] * 3, [1.0] * 3), 5, seed=0, mode="grid")
+
+    def test_tensor_grid_smallest_exact(self):
+        cs = generate_grid(([0.0] * 3, [1.0] * 3), 8, seed=0, mode="grid")
+        assert cs.grid.shape == (8, 3)
+        assert set(map(tuple, cs.grid.tolist())) == {
+            (a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)
+        }
+
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             generate_grid((1.0, 1.0), 10, seed=0)
@@ -349,24 +361,6 @@ class TestMiceRun:
         spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-8)
         state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 9, nu=2.5, seed=2, spec=spec)
         assert state.model.spec == spec
-
-    def test_max_candidates_cap(self):
-        state = mice_run(
-            lambda x: math.sin(x[0]), (0.0, math.pi), 10, nu=2.5, seed=11, n_grid=101, max_candidates=20
-        )
-        assert state.X.shape == (10, 1)
-
-    def test_resample_grid_mode(self):
-        state = mice_run(
-            lambda x: math.sin(x[0]),
-            (0.0, math.pi),
-            8,
-            nu=2.5,
-            seed=4,
-            n_grid=60,
-            resample_grid=True,
-        )
-        assert len(np.unique(state.X.ravel())) == 8
 
 
 class TestStabilizerValidation:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from mlasce import emulator
 from mlasce.emulator import (
     FidelityLadder,
     Level,
@@ -253,6 +254,47 @@ class TestMlasceRun:
             mlasce_run(ladder, budget=10.0, nu=2.5, seed=0, n_grid=21)
         assert err.value.level == 2
         assert err.value.x is not None
+
+    def test_greedy_simulator_failure_carries_level_and_x(self):
+        # The first call (the opening pass) succeeds; the second, a greedy
+        # pick, fails and must still be tagged with its level and input.
+        seen = []
+
+        def flaky(x):
+            seen.append(np.array(x, copy=True))
+            if len(seen) > 1:
+                raise RuntimeError("boom")
+            return 2.0 * math.sin(x[0])
+
+        ladder = FidelityLadder(
+            levels=(
+                Level(lambda x: math.sin(x[0]), cost=1.0, accuracy=1.0),
+                Level(flaky, cost=2.0, accuracy=0.5),
+            ),
+            domain=DOMAIN,
+        )
+        with pytest.raises(SimulatorError) as err:
+            mlasce_run(ladder, budget=40.0, nu=2.5, seed=0, n_grid=21)
+        assert len(seen) == 2
+        assert err.value.level == 2
+        np.testing.assert_array_equal(err.value.x, seen[-1])
+
+    def test_one_extend_step_per_ledger_entry(self, monkeypatch):
+        # Opening points and greedy picks share one step: each ledger entry
+        # costs one fit and one score, and only greedy picks run _select.
+        calls = {"_select": 0, "fit": 0, "score": 0}
+        for name in calls:
+
+            def spy(*args, _real=getattr(emulator, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(emulator, name, spy)
+        em = mlasce_run(toy_ladder(), budget=300.0, nu=2.5, seed=5, n_grid=41)
+        greedy = sum(e.iteration > 0 for e in em.ledger)
+        assert greedy > 0
+        assert calls["fit"] == calls["score"] == len(em.ledger)
+        assert calls["_select"] == greedy
 
 
 class TestPredict:
