@@ -22,7 +22,6 @@ from .emulator import (
     error_bound,
     increments,
     mlasce_run,
-    predict,
     predict_batch,
     score,
 )
@@ -37,20 +36,15 @@ from .errors import (
 )
 from .gp import (
     GPModel,
-    PosteriorPoint,
     fit,
     log_marginal_likelihood,
-    posterior,
     posterior_batch,
-    power_function,
     rkhs_norm_sq,
-    sup_power,
 )
 from .kernels import (
     SUPPORTED_NU,
     KernelSpec,
     chol_factor,
-    chol_solve,
     cov_matrix,
     matern,
 )
@@ -79,13 +73,11 @@ __all__ = [
     "MlasceError",
     "MultilevelEmulator",
     "PlanParams",
-    "PosteriorPoint",
     "SimulatorError",
     "SUPPORTED_NU",
     "SurrogateNormWarning",
     "bound_term",
     "chol_factor",
-    "chol_solve",
     "closed_form_allocation",
     "cov_matrix",
     "error_bound",
@@ -99,16 +91,12 @@ __all__ = [
     "mice_run",
     "mice_step",
     "mlasce_run",
-    "posterior",
     "posterior_batch",
-    "power_function",
-    "predict",
     "predict_batch",
     "rkhs_norm_sq",
     "save_artifact",
     "score",
     "solve_allocation",
-    "sup_power",
 ]
 
 __version__ = "0.1.0"

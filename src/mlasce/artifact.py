@@ -60,51 +60,57 @@ def emulator_to_doc(emulator):
 
 
 def emulator_from_doc(doc):
-    if doc.get("format") != FORMAT:
+    """Rebuild an emulator; ConfigError if doc is not a valid artifact document."""
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise ConfigError(f"not a {FORMAT} document")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
             f"unsupported artifact version {doc.get('format_version')!r}"
         )
-    lo, hi = (np.asarray(b, dtype=float) for b in doc["domain"])
-    levels = []
-    for entry in doc["levels"]:
-        nu = float("inf") if entry["nu"] == "inf" else float(entry["nu"])
-        spec = KernelSpec(
-            nu=nu,
-            lam=float(entry["lam"]),
-            sigma2=float(entry["sigma2"]),
-            nugget=float(entry["nugget"]),
-        )
-        model = GPModel.from_spec(entry["X"], entry["y"], spec)
-        levels.append(
-            LevelState(
-                level=int(entry["level"]),
-                model=model,
-                cost_per_eval=float(entry["cost_per_eval"]),
-                weight=float(entry["weight"]),
-                gamma=float(entry["gamma"]),
-                cands=None,
+    try:
+        lo, hi = (np.asarray(b, dtype=float) for b in doc["domain"])
+        levels = []
+        for entry in doc["levels"]:
+            nu = float("inf") if entry["nu"] == "inf" else float(entry["nu"])
+            spec = KernelSpec(
+                nu=nu,
+                lam=float(entry["lam"]),
+                sigma2=float(entry["sigma2"]),
+                nugget=float(entry["nugget"]),
             )
+            model = GPModel.from_spec(entry["X"], entry["y"], spec)
+            levels.append(
+                LevelState(
+                    level=int(entry["level"]),
+                    model=model,
+                    cost_per_eval=float(entry["cost_per_eval"]),
+                    weight=float(entry["weight"]),
+                    gamma=float(entry["gamma"]),
+                    cands=None,
+                )
+            )
+        ledger = [
+            LedgerEntry(
+                iteration=int(e["iteration"]),
+                level=int(e["level"]),
+                x=tuple(float(v) for v in e["x"]),
+                delta=float(e["delta"]),
+                cost=float(e["cost"]),
+            )
+            for e in doc["ledger"]
+        ]
+        return MultilevelEmulator(
+            levels=levels,
+            domain=(lo, hi),
+            budget=float(doc["budget"]),
+            spent=float(doc["spent"]),
+            ledger=ledger,
+            seed=doc.get("seed"),
         )
-    ledger = [
-        LedgerEntry(
-            iteration=int(e["iteration"]),
-            level=int(e["level"]),
-            x=tuple(float(v) for v in e["x"]),
-            delta=float(e["delta"]),
-            cost=float(e["cost"]),
-        )
-        for e in doc["ledger"]
-    ]
-    return MultilevelEmulator(
-        levels=levels,
-        domain=(lo, hi),
-        budget=float(doc["budget"]),
-        spent=float(doc["spent"]),
-        ledger=ledger,
-        seed=doc.get("seed"),
-    )
+    except KeyError as exc:
+        raise ConfigError(f"artifact is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid artifact entry: {exc}") from None
 
 
 def save_artifact(emulator, path):
@@ -116,7 +122,6 @@ def save_artifact(emulator, path):
 def load_artifact(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return emulator_from_doc(json.load(fh))
+        except (json.JSONDecodeError, ConfigError) as exc:
             raise ConfigError(f"malformed artifact {path}: {exc}") from exc
-    return emulator_from_doc(doc)

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 infeasible budget,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,56 +48,52 @@ EXIT_SIMULATOR = 4
 # ---------------------------------------------------------------------------
 
 
-def external_simulator_eval(command, x, timeout=DEFAULT_TIMEOUT):
-    """Run one external evaluation; returns the parsed float output."""
-    coords = " ".join(repr(float(v)) for v in np.atleast_1d(x))
-    try:
-        proc = subprocess.run(
-            list(command),
-            input=coords + "\n",
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except subprocess.TimeoutExpired as exc:
-        raise SimulatorError(
-            f"simulator {command!r} timed out after {timeout}s",
-            x=x,
-            detail=exc.stdout,
-        ) from exc
-    except OSError as exc:
-        raise SimulatorError(f"cannot spawn {command!r}: {exc}", x=x) from exc
-    if proc.returncode != 0:
-        raise SimulatorError(
-            f"simulator {command!r} exited with {proc.returncode}",
-            x=x,
-            detail=proc.stderr or proc.stdout,
-        )
-    tokens = proc.stdout.split()
-    if not tokens:
-        raise SimulatorError(
-            f"simulator {command!r} produced no output", x=x, detail=proc.stdout
-        )
-    try:
-        value = float(tokens[0])
-    except ValueError:
-        raise SimulatorError(
-            f"cannot parse simulator output {tokens[0]!r}", x=x, detail=proc.stdout
-        ) from None
-    if not math.isfinite(value):
-        raise SimulatorError(f"simulator returned {value}", x=x)
-    return value
-
-
 class ExternalSimulator:
-    """Callable wrapper spawning the configured command per evaluation."""
+    """Callable spawning the configured command once per evaluation."""
 
     def __init__(self, command, timeout=DEFAULT_TIMEOUT):
         self.command = list(command)
         self.timeout = float(timeout)
 
     def __call__(self, x):
-        return external_simulator_eval(self.command, x, timeout=self.timeout)
+        """Run one external evaluation; returns the parsed float output."""
+        coords = " ".join(repr(float(v)) for v in np.atleast_1d(x))
+        try:
+            proc = subprocess.run(
+                self.command,
+                input=coords + "\n",
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise SimulatorError(
+                f"simulator {self.command!r} timed out after {self.timeout}s",
+                x=x,
+                detail=exc.stdout,
+            ) from exc
+        except OSError as exc:
+            raise SimulatorError(f"cannot spawn {self.command!r}: {exc}", x=x) from exc
+        if proc.returncode != 0:
+            raise SimulatorError(
+                f"simulator {self.command!r} exited with {proc.returncode}",
+                x=x,
+                detail=proc.stderr or proc.stdout,
+            )
+        tokens = proc.stdout.split()
+        if not tokens:
+            raise SimulatorError(
+                f"simulator {self.command!r} produced no output", x=x, detail=proc.stdout
+            )
+        try:
+            value = float(tokens[0])
+        except ValueError:
+            raise SimulatorError(
+                f"cannot parse simulator output {tokens[0]!r}", x=x, detail=proc.stdout
+            ) from None
+        if not math.isfinite(value):
+            raise SimulatorError(f"simulator returned {value}", x=x)
+        return value
 
 
 def builtin_simulators():
@@ -132,6 +129,14 @@ def resolve_simulator(entry):
 # ---------------------------------------------------------------------------
 
 
+def _number(doc, key, default, kind):
+    """doc[key] (or default) converted by kind; ConfigError naming key if it fails."""
+    try:
+        return kind(doc.get(key, default))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {doc.get(key)!r}") from None
+
+
 class RunConfig:
     """Validated run configuration; see load_config for the schema."""
 
@@ -145,22 +150,29 @@ class RunConfig:
             raise ConfigError(f"missing configuration key {exc}") from None
         if not isinstance(levels, list) or not levels:
             raise ConfigError("levels must be a non-empty list")
-        self.domain = (
-            np.atleast_1d(np.asarray(domain[0], dtype=float)),
-            np.atleast_1d(np.asarray(domain[1], dtype=float)),
-        )
-        self.budget = float(doc.get("budget", 0.0))
-        self.seed = doc.get("seed", 0)
-        self.grid_size = int(doc.get("grid_size", 101))
-        self.nugget = float(doc.get("nugget", 1e-8))
-        self.stabilizer = float(doc.get("stabilizer", 1.0))
-        self.alpha = float(doc.get("alpha", 1.0))
+        try:
+            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in domain)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"domain must be a [lo, hi] pair: {exc}") from None
+        self.domain = (lo, hi)
+        self.budget = _number(doc, "budget", 0.0, float)
+        self.seed = _number(doc, "seed", 0, int)
+        self.grid_size = _number(doc, "grid_size", 101, int)
+        self.nugget = _number(doc, "nugget", 1e-8, float)
+        self.stabilizer = _number(doc, "stabilizer", 1.0, float)
+        self.alpha = _number(doc, "alpha", 1.0, float)
         self.truth = doc.get("truth")
-        if self.truth is not None and self.domain[0].size != 1:
-            # Every builtin truth is a 1-D toy; fail before any run is paid for.
-            raise ConfigError(
-                f"truth {self.truth!r} needs a 1-D domain, got d={self.domain[0].size}"
-            )
+        if self.truth is not None:
+            # Checked before any run is paid for; every builtin truth is a 1-D toy.
+            names = builtin_simulators()
+            if not isinstance(self.truth, str) or self.truth not in names:
+                raise ConfigError(
+                    f"unknown truth function {self.truth!r}; available: {sorted(names)}"
+                )
+            if lo.size != 1:
+                raise ConfigError(
+                    f"truth {self.truth!r} needs a 1-D domain, got d={lo.size}"
+                )
         self.weights = doc.get("weights", "cost")
         self.levels = []
         for i, entry in enumerate(levels):
@@ -206,13 +218,11 @@ class RunConfig:
         return None if self.weights == "cost" else self.weights
 
     def truth_fn(self):
+        """The truth's vectorised suite function of xs, or None without a truth."""
         if self.truth is None:
             return None
-        table = builtin_simulators()
-        if self.truth not in table:
-            raise ConfigError(f"unknown truth function {self.truth!r}")
-        sim = table[self.truth]
-        return lambda xs: np.array([sim(np.atleast_1d(v)) for v in np.atleast_1d(xs)])
+        suite, level = self.truth.split(":")
+        return functools.partial(bench.SUITES[suite].f, int(level))
 
 
 def load_config(path):
@@ -250,7 +260,7 @@ def cmd_plan(args):
         alpha=config.alpha,
         budget=budget,
     )
-    numerical = solve_allocation(params, seed=int(config.seed))
+    numerical = solve_allocation(params, seed=config.seed)
     closed = None
     if len(set(params.nu)) == 1:
         try:
@@ -440,7 +450,7 @@ def main(argv=None):
         if exc.detail:
             print(f"captured output: {exc.detail}", file=sys.stderr)
         return EXIT_SIMULATOR
-    except (ValueError, MlasceError) as exc:
+    except (ValueError, OSError, MlasceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -27,16 +27,7 @@ from .design import (
     generate_grid,
 )
 from .errors import BudgetError, SimulatorError
-from .gp import (
-    GPModel,
-    PosteriorPoint,
-    _single_query,
-    fit,
-    posterior,
-    posterior_batch,
-    power_function,
-    rkhs_norm_sq,
-)
+from .gp import GPModel, _unit_residual_var, fit, posterior_batch, rkhs_norm_sq
 from .kernels import SUPPORTED_NU
 
 
@@ -194,9 +185,10 @@ def score(model_before, model_after, a_l, t_eff):
         raise ValueError("effective cost must be positive")
     if model_before is None:
         return rkhs_norm_sq(model_after) * a_l / t_eff
-    x_new = model_after.X[-1]
-    resid = float(model_after.y[-1]) - posterior(model_before, x_new).mean
-    p = max(power_function(model_before, x_new), 1e-12)
+    r, var = _unit_residual_var(model_before, model_after.X[-1:])
+    mean = model_before.spec.sigma2 * (r @ model_before.alpha)
+    resid = float(model_after.y[-1]) - float(mean[0])
+    p = max(float(var[0]), 1e-12)
     return (resid * resid / math.sqrt(p)) * a_l / t_eff
 
 
@@ -338,24 +330,15 @@ def mlasce_run(
 
 def predict_batch(emulator, X):
     """Sum of the independent per-level posteriors at many points."""
-    means = None
-    variances = None
-    for lv in emulator.levels:
+    means, variances = posterior_batch(emulator.levels[0].model, X)
+    for lv in emulator.levels[1:]:
         m, v = posterior_batch(lv.model, X)
-        means = m if means is None else means + m
-        variances = v if variances is None else variances + v
+        means, variances = means + m, variances + v
     return means, variances
 
 
-def predict(emulator, x):
-    """Multilevel posterior at a single point."""
-    xq = _single_query(emulator.levels[0].model, x)
-    mean, var = predict_batch(emulator, xq)
-    return PosteriorPoint(mean=float(mean[0]), var=float(var[0]))
-
-
-def error_bound(emulator, x, norm_estimates=None):
-    """Sum over levels of sqrt(posterior variance) times the increment norm.
+def error_bound(emulator, X, norm_estimates=None):
+    """One bound per query row of X: sum over levels of posterior sd times norm.
 
     Without norm estimates the fitted means' own norms are substituted,
     which underestimates the truth; a SurrogateNormWarning flags that.
@@ -375,9 +358,8 @@ def error_bound(emulator, x, norm_estimates=None):
         raise ValueError(f"expected {emulator.L} norm estimates, got {len(norms)}")
     if any(v < 0 for v in norms):
         raise ValueError("norm estimates must be nonnegative")
-    xq = _single_query(emulator.levels[0].model, x)
     total = 0.0
     for lv, nrm in zip(emulator.levels, norms):
-        _, var = posterior_batch(lv.model, xq)
-        total += float(np.sqrt(var[0])) * nrm
+        _, var = posterior_batch(lv.model, X)
+        total = total + np.sqrt(var) * nrm
     return total

@@ -102,14 +102,6 @@ class GPModel:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
-class PosteriorPoint:
-    """Posterior mean and (clamped nonnegative) variance at one input."""
-
-    mean: float
-    var: float
-
-
 def lambda_bounds(diameter):
     """Correlation-length search bounds derived from the domain diameter."""
     D = float(diameter)
@@ -223,37 +215,11 @@ def posterior_batch(model, X):
     return mean, var
 
 
-def _single_query(model, x):
-    q = _as_queries(x, model.dim)
-    if q.shape[0] != 1:
-        raise ValueError("expected a single point; use the batch variant")
-    return q
-
-
-def posterior(model, x):
-    """Posterior mean/variance at a single query point."""
-    mean, var = posterior_batch(model, _single_query(model, x))
-    return PosteriorPoint(mean=float(mean[0]), var=float(var[0]))
-
-
 def power_batch(model, X):
     """Unit-variance predictive variance (power function) at many points."""
     Xq = _as_queries(X, model.dim)
     _, resid = _unit_residual_var(model, Xq)
     return resid
-
-
-def power_function(model, x):
-    """Power function at one point: 1 - r^T R^{-1} r, clamped into [0, 1]."""
-    return float(power_batch(model, _single_query(model, x))[0])
-
-
-def sup_power(model, probes):
-    """Maximum of the power function over a finite probe set."""
-    vals = power_batch(model, probes)
-    if vals.size == 0:
-        raise ValueError("probe set is empty")
-    return float(vals.max())
 
 
 def rkhs_norm_sq(model):

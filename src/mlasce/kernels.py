@@ -230,11 +230,3 @@ def chol_stack(A):
     callers fall back to chol_factor per matrix.
     """
     return CholeskyFactor(np.linalg.cholesky(A))
-
-
-def chol_solve(A, B, jitter0=0.0):
-    """Solve A X = B for symmetric positive definite A via chol_factor."""
-    B = np.asarray(B, dtype=float)
-    if not np.all(np.isfinite(B)):
-        raise ValueError("right-hand side contains non-finite entries")
-    return chol_factor(A, jitter0=jitter0).solve(B)

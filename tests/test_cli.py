@@ -16,11 +16,11 @@ from mlasce.cli import (
     EXIT_INFEASIBLE,
     EXIT_SIMULATOR,
     ExternalSimulator,
-    external_simulator_eval,
+    builtin_simulators,
     load_config,
     main,
 )
-from mlasce.emulator import mlasce_run, predict_batch
+from mlasce.emulator import mlasce_run, predict_batch, score
 from mlasce.errors import ConfigError, SimulatorError
 
 PI = math.pi
@@ -88,6 +88,38 @@ class TestConfig:
         doc["levels"][0]["nu"] = 2.0
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
+
+    def test_truth_fn_matches_scalar_simulator(self, tmp_path):
+        # Reference: one scalar simulator call per point. Scalar and array
+        # powers round differently in toy5's bumps, hence an absolute 2 eps.
+        xs = np.linspace(0.0, PI, 201)
+        for name, sim in builtin_simulators().items():
+            config = load_config(write_config(tmp_path, dict(TOY3_CONFIG, truth=name)))
+            want = np.array([sim(np.array([v])) for v in xs])
+            got = config.truth_fn()(xs)
+            np.testing.assert_allclose(got, want, rtol=0, atol=2 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("domain", 5),
+            ("domain", [0]),
+            ("budget", None),
+            ("grid_size", None),
+            ("seed", None),
+            ("truth", "toy9:1"),
+            ("truth", ["toy3:3"]),
+        ],
+    )
+    def test_malformed_value_exits_2_naming_key(
+        self, tmp_path, capsys, command, key, value
+    ):
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, **{key: value}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPlanCommand:
@@ -248,24 +280,71 @@ class TestPredictCommand:
         assert f"{pts}:2:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "model.json"
+    save_artifact(mlasce_run(ladder_for(TOY3), 160.0, nu=2.5, seed=1, n_grid=21), path)
+    return path
+
+
+class TestFileErrors:
+    """Unreadable inputs and unwritable outputs exit 2 and name the path."""
+
+    def run_predict(self, capsys, artifact, points):
+        code = main(["predict", "--artifact", str(artifact), "--points", str(points)])
+        return code, capsys.readouterr().err
+
+    def test_missing_artifact(self, tmp_path, capsys):
+        pts = tmp_path / "points.txt"
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, tmp_path / "none.json", pts)
+        assert code == EXIT_CONFIG and str(tmp_path / "none.json") in err
+
+    def test_missing_points(self, tmp_path, capsys, small_artifact):
+        code, err = self.run_predict(capsys, small_artifact, tmp_path / "none.txt")
+        assert code == EXIT_CONFIG and str(tmp_path / "none.txt") in err
+
+    def test_artifact_not_an_object(self, tmp_path, capsys):
+        art, pts = tmp_path / "list.json", tmp_path / "points.txt"
+        art.write_text("[1, 2]\n")
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, art, pts)
+        assert code == EXIT_CONFIG and str(art) in err
+
+    def test_artifact_missing_key(self, tmp_path, capsys, small_artifact):
+        doc = json.loads(small_artifact.read_text())
+        del doc["levels"][0]["lam"]
+        art, pts = tmp_path / "nolam.json", tmp_path / "points.txt"
+        art.write_text(json.dumps(doc))
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, art, pts)
+        assert code == EXIT_CONFIG and str(art) in err and "lam" in err
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY3_CONFIG)
+        out = tmp_path / "no-such-dir" / "model.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+
 class TestExternalSimulator:
     def test_constant_stub(self):
-        val = external_simulator_eval(
-            [sys.executable, "-c", "print(3.14)"], np.array([0.5])
+        val = ExternalSimulator([sys.executable, "-c", "print(3.14)"], timeout=60)(
+            np.array([0.5])
         )
         assert val == 3.14
 
     def test_failing_stub(self):
         with pytest.raises(SimulatorError):
-            external_simulator_eval(
-                [sys.executable, "-c", "import sys; sys.exit(1)"], np.array([0.5])
-            )
+            ExternalSimulator(
+                [sys.executable, "-c", "import sys; sys.exit(1)"], timeout=60
+            )(np.array([0.5]))
 
     def test_unparseable_output(self):
         with pytest.raises(SimulatorError):
-            external_simulator_eval(
-                [sys.executable, "-c", "print('not-a-number')"], np.array([0.5])
-            )
+            ExternalSimulator(
+                [sys.executable, "-c", "print('not-a-number')"], timeout=60
+            )(np.array([0.5]))
 
     def test_identity_echo_round_trip(self):
         sim = ExternalSimulator(
@@ -364,7 +443,7 @@ class TestArtifactReplayAudit:
         # End-to-end: run via the CLI, then replay the persisted ledger with
         # fresh refits and verify every loop pick was the effective-score
         # argmax among affordable levels (exploration floor included).
-        from mlasce.gp import fit, posterior, power_function, rkhs_norm_sq
+        from mlasce.gp import fit
 
         cfg = write_config(tmp_path, TOY3_CONFIG)
         art = tmp_path / "model.json"
@@ -411,21 +490,16 @@ class TestArtifactReplayAudit:
                 nugget=nuggets[entry.level],
                 domain=domain,
             )
-            if before is None:
-                gamma = rkhs_norm_sq(model) * weights[entry.level] / costs[entry.level]
-            else:
-                resid = entry.delta - posterior(before, entry.x[0]).mean
-                p = max(power_function(before, entry.x[0]), 1e-12)
-                gamma = (
-                    resid * resid / math.sqrt(p)
-                ) * weights[entry.level] / costs[entry.level]
             models[entry.level] = model
-            gammas[entry.level] = gamma
+            gammas[entry.level] = score(
+                before, model, weights[entry.level], costs[entry.level]
+            )
             spent += entry.cost
         assert spent == pytest.approx(em.spent)
-        # persisted hyperparameters equal the replayed final fits
+        # persisted hyperparameters and scores equal the replayed final ones
         for lv in em.levels:
             assert models[lv.level].spec == lv.model.spec
+            assert gammas[lv.level] == lv.gamma
 
 
 class TestBenchToy5:

@@ -26,7 +26,7 @@ from mlasce.design import (
     mice_step,
 )
 from mlasce.errors import CandidatesExhausted, FactorizationError
-from mlasce.gp import GPModel, sup_power
+from mlasce.gp import GPModel, posterior_batch, power_batch
 from mlasce.kernels import SUPPORTED_NU, CholeskyFactor, KernelSpec, matern_corr
 
 
@@ -140,9 +140,7 @@ class TestMiceCriterion:
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=2.0, nugget=1e-8)
         state = make_state([0.0, 1.0], [0.0, 1.0], spec, tau2=1e-8, tau2_s=0.7)
         x = np.array([2.0])
-        from mlasce.gp import posterior
-
-        num = posterior(state.model, x).var
+        num = posterior_batch(state.model, x)[1][0]
         want = num / (2.0 * (1.0 + 0.7))
         assert mice_criterion(state, x, []) == pytest.approx(want, rel=1e-12)
 
@@ -330,7 +328,7 @@ class TestMiceRun:
         small = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=9)
         big = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 10, nu=2.5, seed=9)
         probes = np.linspace(0.0, math.pi, 200)
-        assert sup_power(big.model, probes) < sup_power(small.model, probes)
+        assert power_batch(big.model, probes).max() < power_batch(small.model, probes).max()
 
     def test_deterministic(self):
         a = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 8, nu=2.5, seed=42)
@@ -354,7 +352,7 @@ class TestMiceRun:
         values = []
         for k in range(3, 13):
             model = GPModel.from_spec(state.X[:k], state.y[:k], spec)
-            values.append(sup_power(model, probes))
+            values.append(power_batch(model, probes).max())
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_fixed_spec_skips_refitting(self):

@@ -20,12 +20,11 @@ from mlasce.emulator import (
     error_bound,
     increments,
     mlasce_run,
-    predict,
     predict_batch,
     score,
 )
 from mlasce.errors import BudgetError, SimulatorError
-from mlasce.gp import GPModel, fit, posterior, rkhs_norm_sq
+from mlasce.gp import GPModel, fit, posterior_batch, rkhs_norm_sq
 from mlasce.kernels import KernelSpec, cov_matrix, matern
 
 DOMAIN = (0.0, math.pi)
@@ -304,11 +303,11 @@ class TestPredict:
             nu=2.5, nugget=1e-8, domain=DOMAIN,
         )
         em = MultilevelEmulator.from_models([model], DOMAIN)
-        for xq in (0.3, 1.2, 2.9):
-            p = predict(em, xq)
-            q = posterior(model, xq)
-            assert p.mean == pytest.approx(q.mean, rel=1e-14)
-            assert p.var == pytest.approx(q.var, rel=1e-14)
+        xq = np.array([0.3, 1.2, 2.9])
+        mean, var = predict_batch(em, xq)
+        q_mean, q_var = posterior_batch(model, xq)
+        np.testing.assert_allclose(mean, q_mean, rtol=1e-14)
+        np.testing.assert_allclose(var, q_var, rtol=1e-14)
 
     def test_two_levels_sum_independently(self):
         rng = np.random.default_rng(11)
@@ -318,8 +317,6 @@ class TestPredict:
         em = MultilevelEmulator.from_models([m1, m2], DOMAIN)
         xq = np.linspace(0, math.pi, 50)
         mean, var = predict_batch(em, xq)
-        from mlasce.gp import posterior_batch
-
         m1m, m1v = posterior_batch(m1, xq)
         m2m, m2v = posterior_batch(m2, xq)
         np.testing.assert_allclose(mean, m1m + m2m, rtol=1e-13)
@@ -333,9 +330,9 @@ class TestPredict:
             GPModel.from_spec([[x0]], [y_vals[1]], KernelSpec(2.5, 0.7, 1.0, 1e-10)),
         ]
         em = MultilevelEmulator.from_models(models, DOMAIN)
-        p = predict(em, x0)
-        assert p.mean == pytest.approx(f2(np.array([x0])), rel=1e-8)
-        assert p.var < 1e-8
+        mean, var = predict_batch(em, [x0])
+        assert mean[0] == pytest.approx(f2(np.array([x0])), rel=1e-8)
+        assert var[0] < 1e-8
 
 
 class TestErrorBound:
@@ -358,20 +355,23 @@ class TestErrorBound:
 
     def test_dominates_true_error(self):
         em, delta, norm = self._known_norm_emulator()
-        for xq in np.linspace(0.0, math.pi, 250):
-            err = abs(predict(em, xq).mean - delta(xq))
-            assert error_bound(em, xq, [norm]) >= err - 1e-12
+        xq = np.linspace(0.0, math.pi, 250)
+        err = np.abs(predict_batch(em, xq)[0] - np.array([delta(x) for x in xq]))
+        bound = error_bound(em, xq, [norm])
+        assert bound.shape == (250,)
+        assert np.all(bound >= err - 1e-12)
 
     def test_near_zero_at_training_point(self):
         em, delta, norm = self._known_norm_emulator()
         x0 = float(em.levels[0].model.X[2, 0])
-        assert error_bound(em, x0, [norm]) < 1e-5
+        assert error_bound(em, [x0], [norm])[0] < 1e-5
 
     def test_linear_in_norms(self):
         em, delta, norm = self._known_norm_emulator()
-        b1 = error_bound(em, 1.0, [norm])
-        b2 = error_bound(em, 1.0, [2.0 * norm])
-        assert b2 == pytest.approx(2.0 * b1, rel=1e-12)
+        xq = np.linspace(0.0, math.pi, 9)
+        b1 = error_bound(em, xq, [norm])
+        b2 = error_bound(em, xq, [2.0 * norm])
+        np.testing.assert_allclose(b2, 2.0 * b1, rtol=1e-12)
 
     def test_surrogate_norms_flagged(self):
         em, _, _ = self._known_norm_emulator()
@@ -395,9 +395,9 @@ class TestPredictEdges:
             GPModel.from_spec([[0.1]], [0.2], specs[1]),
         ]
         em = MultilevelEmulator.from_models(models, (0.0, 60.0))
-        p = predict(em, 50.0)
-        assert abs(p.mean) < 1e-12
-        assert p.var == pytest.approx(1.5 + 0.7, rel=1e-12)
+        mean, var = predict_batch(em, [50.0])
+        assert abs(mean[0]) < 1e-12
+        assert var[0] == pytest.approx(1.5 + 0.7, rel=1e-12)
 
     def test_two_dimensional_ladder_smoke(self):
         ladder = FidelityLadder(
@@ -433,5 +433,5 @@ class TestThreeDimensionalSmoke:
         )
         em = mlasce_run(ladder, budget=20.0, nu=1.5, seed=0, n_grid=50)
         assert em.spent <= 20.0 + 1e-9
-        p = predict(em, np.array([0.5, 0.5, 1.0]))
-        assert np.isfinite(p.mean) and p.var >= 0.0
+        mean, var = predict_batch(em, np.array([[0.5, 0.5, 1.0]]))
+        assert np.isfinite(mean[0]) and var[0] >= 0.0

@@ -17,12 +17,9 @@ from mlasce.gp import (
     fit,
     lambda_bounds,
     log_marginal_likelihood,
-    posterior,
     posterior_batch,
     power_batch,
-    power_function,
     rkhs_norm_sq,
-    sup_power,
 )
 from mlasce.kernels import SUPPORTED_NU, KernelSpec, corr_matrix, cov_matrix, matern
 
@@ -129,17 +126,16 @@ class TestPosterior:
         y = np.sin(X)
         spec = KernelSpec(nu=2.5, lam=0.8, sigma2=1.0, nugget=1e-8)
         model = GPModel.from_spec(X, y, spec)
-        for xi, yi in zip(X, y):
-            p = posterior(model, xi)
-            assert abs(p.mean - yi) <= 1e-6 * (1.0 + abs(yi))
-            assert p.var >= 0.0
+        mean, var = posterior_batch(model, X)
+        assert np.all(np.abs(mean - y) <= 1e-6 * (1.0 + np.abs(y)))
+        assert np.all(var >= 0.0)
 
     def test_prior_recovery_far_away(self):
         spec = KernelSpec(nu=1.5, lam=0.1, sigma2=2.5, nugget=0.0)
         model = GPModel.from_spec([[0.0]], [1.0], spec)
-        p = posterior(model, 50.0)
-        assert abs(p.mean) < 1e-12
-        assert p.var == pytest.approx(2.5, rel=1e-12)
+        mean, var = posterior_batch(model, [50.0])
+        assert abs(mean[0]) < 1e-12
+        assert var[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_dense_algebra_oracle_many_queries(self):
         rng = np.random.default_rng(5)
@@ -164,24 +160,18 @@ class TestPosterior:
         assert np.all(var >= 0.0)
         assert np.all(var <= spec.sigma2 * (1.0 + spec.nugget) + 1e-12)
 
-    def test_rejects_batch_in_single_point_api(self):
-        model = GPModel.from_spec([[0.0]], [1.0], KernelSpec(2.5, 1.0, 1.0))
-        with pytest.raises(ValueError):
-            posterior(model, np.array([0.1, 0.2]))
-
 
 class TestPowerFunction:
     def test_zero_at_training_points(self):
         X = np.array([0.1, 0.7, 1.9])
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=3.0, nugget=0.0)
         model = GPModel.from_spec(X, np.ones(3), spec)
-        for xi in X:
-            assert power_function(model, xi) == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(power_batch(model, X), 0.0, atol=1e-9)
 
     def test_near_one_far_from_single_point(self):
         spec = KernelSpec(nu=0.5, lam=0.05, sigma2=1.0)
         model = GPModel.from_spec([[0.0]], [0.3], spec)
-        assert power_function(model, 10.0) == pytest.approx(1.0, abs=1e-12)
+        assert power_batch(model, [10.0])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_ratio_oracle(self):
         rng = np.random.default_rng(23)
@@ -202,24 +192,25 @@ class TestPowerFunction:
 
 
 class TestSupPower:
+    """The supremum of the power function over a finite probe set."""
+
     def test_zero_on_training_subset(self):
         X = np.array([0.2, 0.9, 1.4])
         model = GPModel.from_spec(X, np.zeros(3), KernelSpec(2.5, 0.7, 1.0))
-        assert sup_power(model, X) == pytest.approx(0.0, abs=1e-9)
+        assert power_batch(model, X).max() == pytest.approx(0.0, abs=1e-9)
 
     def test_attained_at_farthest_point(self):
         model = GPModel.from_spec([[0.0]], [1.0], KernelSpec(2.5, 1.0, 1.0))
         probes = np.linspace(0.0, math.pi, 64)
-        vals = power_batch(model, probes)
-        assert sup_power(model, probes) == vals[-1]
+        assert int(np.argmax(power_batch(model, probes))) == probes.size - 1
 
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(31)
         X = rng.uniform(0.0, 1.0, size=5)
         model = GPModel.from_spec(X, rng.normal(size=5), KernelSpec(1.5, 0.3, 1.0))
         probes = np.linspace(0.0, 1.0, 200)
-        brute = max(power_function(model, p) for p in probes)
-        assert sup_power(model, probes) == pytest.approx(brute, abs=1e-14)
+        brute = max(float(power_batch(model, [p])[0]) for p in probes)
+        assert power_batch(model, probes).max() == pytest.approx(brute, abs=1e-14)
 
 
 class TestRkhsNorm:
@@ -276,7 +267,7 @@ class TestErrorBoundAndConvergence:
             model = GPModel.from_spec(X, delta(X), spec)
             mean, _ = posterior_batch(model, probes)
             sup_errs.append(float(np.abs(mean - delta(probes)).max()))
-            sup_pows.append(sup_power(model, probes))
+            sup_pows.append(float(power_batch(model, probes).max()))
         assert all(b <= a + 1e-9 for a, b in zip(sup_errs, sup_errs[1:]))
         assert all(b <= a + 1e-9 for a, b in zip(sup_pows, sup_pows[1:]))
 
@@ -292,8 +283,8 @@ class TestFitEdges:
         X = np.linspace(0.0, 1.0, 6)
         y = np.full(6, 2.5)
         model = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, 1.0))
-        p = posterior(model, 0.5)
-        assert p.mean == pytest.approx(2.5, rel=1e-4)
+        mean, _ = posterior_batch(model, [0.5])
+        assert mean[0] == pytest.approx(2.5, rel=1e-4)
 
 
 class TestFitDeterminism:
