@@ -69,6 +69,8 @@ def emulator_from_doc(doc):
         )
     try:
         lo, hi = (np.asarray(b, dtype=float) for b in doc["domain"])
+        if not doc["levels"]:
+            raise ConfigError("artifact has no levels")
         levels = []
         for entry in doc["levels"]:
             nu = float("inf") if entry["nu"] == "inf" else float(entry["nu"])

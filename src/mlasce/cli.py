@@ -24,6 +24,7 @@ import numpy as np
 
 from . import bench
 from .artifact import load_artifact, save_artifact
+from .design import domain_arrays
 from .emulator import FidelityLadder, Level, mlasce_run, predict_batch
 from .errors import (
     BudgetError,
@@ -151,9 +152,10 @@ class RunConfig:
         if not isinstance(levels, list) or not levels:
             raise ConfigError("levels must be a non-empty list")
         try:
-            lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in domain)
+            lo, hi = domain
+            lo, hi = domain_arrays((lo, hi))
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"domain must be a [lo, hi] pair: {exc}") from None
+            raise ConfigError(f"bad domain bounds {domain!r}: {exc}") from None
         self.domain = (lo, hi)
         self.budget = _number(doc, "budget", 0.0, float)
         self.seed = _number(doc, "seed", 0, int)
@@ -260,7 +262,7 @@ def cmd_plan(args):
         alpha=config.alpha,
         budget=budget,
     )
-    numerical = solve_allocation(params, seed=config.seed)
+    numerical = solve_allocation(params)
     closed = None
     if len(set(params.nu)) == 1:
         try:
@@ -303,6 +305,12 @@ def cmd_run(args):
     config = load_config(args.config)
     budget = args.budget if args.budget is not None else config.budget
     seed = args.seed if args.seed is not None else config.seed
+    # Checked before the run, which spends the budget.
+    if args.out and (
+        os.path.isdir(args.out)
+        or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK)
+    ):
+        raise ConfigError(f"cannot write artifact {args.out}: not a writable file path")
     emulator = mlasce_run(
         config.ladder,
         budget,

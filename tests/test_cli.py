@@ -122,6 +122,16 @@ class TestConfig:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "domain", [[[0.0, 0.0], [1.0]], [1.0, 0.0], [0.0, math.inf]]
+    )
+    def test_bad_domain_bounds_exit_2(self, tmp_path, capsys, command, domain):
+        cfg = write_config(tmp_path, dict(TABLE_CONFIG, domain=domain))
+        assert main([command, "--config", cfg]) == EXIT_CONFIG
+        assert "domain bounds" in capsys.readouterr().err
+
+
 class TestPlanCommand:
     def test_table_budget_sums(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TABLE_CONFIG)
@@ -325,6 +335,26 @@ class TestFileErrors:
         out = tmp_path / "no-such-dir" / "model.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["no-such-dir/model.json", "."])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch, name):
+        def no_run(*args, **kwargs):
+            raise AssertionError("mlasce_run called before --out was checked")
+
+        monkeypatch.setattr("mlasce.cli.mlasce_run", no_run)
+        cfg = write_config(tmp_path, TOY3_CONFIG)
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
+    def test_artifact_without_levels(self, tmp_path, capsys, small_artifact):
+        doc = json.loads(small_artifact.read_text())
+        doc["levels"] = []
+        art, pts = tmp_path / "empty.json", tmp_path / "points.txt"
+        art.write_text(json.dumps(doc))
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, art, pts)
+        assert code == EXIT_CONFIG and str(art) in err and "no levels" in err
 
 
 class TestExternalSimulator:

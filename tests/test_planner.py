@@ -2,11 +2,13 @@
 
 The closed form is validated against an independent constrained optimizer
 run on the relaxed objective (the closed form is its exact Lagrange
-solution), and the numerical solver against local perturbations along the
-budget line.
+solution). The numerical solver is checked against local perturbations
+along the budget line, a dense brute-force scan of the budget simplex at
+L = 2 and 3, and a multi-start Nelder-Mead search at L <= 5.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from scipy.optimize import minimize
 
 from mlasce.errors import InfeasibleError
 from mlasce.planner import (
+    MAX_PLAN_LEVELS,
     PlanParams,
     allocation_objective,
     bound_term,
@@ -122,6 +125,138 @@ class TestSolveAllocation:
         assert plan.objective <= allocation_objective(params, rounded) + 1e-12
 
 
+# Level 3 ends on the rising branch of its marginal gain, below its peak N*.
+RISING = PlanParams(
+    h=(0.503088414392139, 0.37476697657045777, 0.16221939775652963),
+    t=(1.4980984150103156, 7.050677125923071, 32.62775435975283),
+    nu=(2.869673805924416, 2.503906447291809, 0.8007953638653996),
+    d=1,
+    alpha=2.0,
+    budget=128.14856300192054,
+)
+
+
+def objective_rows(params, n):
+    """allocation_objective of every row of n."""
+    a = np.asarray(params.nu) / params.d
+    c = np.asarray(params.gaps()) ** (2.0 * params.alpha)
+    return np.sum(c * n ** (-a) * np.sqrt(np.log(n)), axis=-1)
+
+
+def peak_count(nu, d):
+    """N* where -g'(N) = c (a log N - 1/2) N^(-a-1) / sqrt(log N) peaks, a = nu/d."""
+    a = nu / d
+    b = 2.0 * a + 1.0
+    return math.exp((b + math.sqrt(b * b + 4.0 * a * (a + 1.0))) / (4.0 * a * (a + 1.0)))
+
+
+def brute_force_minimum(params, m):
+    """Lowest objective on an m-per-axis grid of the budget simplex above the floors."""
+    t = np.asarray(params.t)
+    lb = lower_bounds(params)
+    axes = np.meshgrid(*[np.linspace(0.0, 1.0, m)] * (params.L - 1), indexing="ij")
+    share = np.stack([ax.ravel() for ax in axes], axis=1)
+    share = share[share.sum(axis=1) <= 1.0]
+    share = np.column_stack([share, 1.0 - share.sum(axis=1)])
+    return objective_rows(params, lb + share * (params.budget - t @ lb) / t).min()
+
+
+def nelder_mead_minimum(params):
+    """Best feasible objective of 8 penalised Nelder-Mead runs over the
+    first L - 1 log-counts, the last count fixed by the budget."""
+    t = np.asarray(params.t)
+    T = params.budget
+    lb = lower_bounds(params)
+    ub = (T - (lb @ t - lb * t)) / t
+    lo, hi = np.log(lb[:-1]), np.log(ub[:-1])
+
+    def counts(z):
+        n = np.exp(np.clip(z, lo, hi))
+        return np.append(n, (T - n @ t[:-1]) / t[-1])
+
+    def penalised(z):
+        n = counts(z)
+        gap = max(lb[-1] - n[-1], 0.0)
+        n[-1] = max(n[-1], lb[-1])
+        return objective_rows(params, n) + 1e3 * gap * gap + gap
+
+    rng = np.random.default_rng(0)
+    starts = [np.log(np.clip(T / (params.L * t[:-1]), lb[:-1], ub[:-1]))]
+    starts += [lo + rng.uniform(size=params.L - 1) * (hi - lo) for _ in range(7)]
+    best = np.inf
+    for z0 in starts:
+        res = minimize(penalised, z0, method="Nelder-Mead",
+                       options={"maxfev": 400 * params.L, "xatol": 1e-8, "fatol": 1e-12})
+        n = counts(res.x)
+        if n[-1] >= lb[-1]:
+            best = min(best, allocation_objective(params, n))
+    return best
+
+
+def feasible_draws(seed, count, max_levels=5):
+    """The first count per-level-nu draws of random_params with at most
+    max_levels levels whose budget covers every floor."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        params = random_params(rng, common_nu=False)
+        floor_cost = np.asarray(params.t) @ lower_bounds(params)
+        if params.L <= max_levels and floor_cost <= params.budget:
+            draws.append(params)
+    return draws
+
+
+class TestExactAllocation:
+    def test_rising_branch_optimum(self):
+        # A search over falling branches only ends 1.3% higher on this draw.
+        plan = solve_allocation(RISING)
+        assert plan.objective <= 0.0009853 * (1.0 + 1e-9)
+        assert plan.n_runs[2] < peak_count(RISING.nu[2], RISING.d)
+        assert plan.n_runs @ np.array(RISING.t) == pytest.approx(RISING.budget, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "params,m",
+        [(p, 20001) for p in feasible_draws(21, 8, max_levels=2)]
+        + [(p, 801) for p in feasible_draws(31, 8, max_levels=3) if p.L == 3]
+        + [(RISING, 801)],
+    )
+    def test_never_above_brute_force_grid(self, params, m):
+        plan = solve_allocation(params)
+        assert plan.objective <= brute_force_minimum(params, m) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("params", feasible_draws(0, 12))
+    def test_never_above_nelder_mead(self, params):
+        plan = solve_allocation(params)
+        assert plan.objective <= nelder_mead_minimum(params) * (1.0 + 1e-10)
+        assert plan.n_runs @ np.array(params.t) == pytest.approx(params.budget, rel=1e-9)
+        assert np.all(plan.n_runs >= lower_bounds(params))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_gaussian_level_stays_at_floor(self, k):
+        # nu = inf zeroes a level's bound term at every N >= 1.
+        nu = list(RISING.nu)
+        nu[k] = math.inf
+        params = replace(RISING, nu=tuple(nu))
+        plan = solve_allocation(params)
+        assert plan.n_runs[k] == 1.0
+        assert plan.objective <= brute_force_minimum(params, 801) * (1.0 + 1e-9)
+        assert plan.objective <= nelder_mead_minimum(params) * (1.0 + 1e-10)
+        assert plan.n_runs @ np.array(params.t) == pytest.approx(params.budget, rel=1e-9)
+
+    def test_rejects_too_many_levels(self):
+        L = MAX_PLAN_LEVELS + 1
+        params = PlanParams(
+            h=tuple(0.5**l for l in range(L)),
+            t=tuple(2.0**l for l in range(L)),
+            nu=2.5,
+            d=1,
+            alpha=1.0,
+            budget=2.0 ** (L + 2),
+        )
+        with pytest.raises(ValueError, match=f"at most {MAX_PLAN_LEVELS} levels"):
+            solve_allocation(params)
+
+
 class TestClosedForm:
     def test_single_level(self):
         params = PlanParams(h=(1.0,), t=(4.0,), nu=2.5, d=1, alpha=1.0, budget=100.0)
@@ -204,7 +339,7 @@ class TestRounding:
         rng = np.random.default_rng(3)
         for _ in range(30):
             params = random_params(rng)
-            plan = solve_allocation(params, n_starts=6, seed=1)
+            plan = solve_allocation(params)
             assert np.all(plan.n_rounded >= 1)
             assert plan.n_rounded @ np.array(params.t) <= params.budget * (1 + 1e-9)
 
@@ -219,7 +354,7 @@ class TestPerLevelSmoothness:
             alpha=1.0,
             budget=200.0,
         )
-        plan = solve_allocation(params, seed=3)
+        plan = solve_allocation(params)
         assert plan.n_runs @ np.array(params.t) == pytest.approx(200.0, rel=1e-9)
         assert np.all(plan.n_runs >= lower_bounds(params) - 1e-9)
 
