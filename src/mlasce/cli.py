@@ -370,9 +370,10 @@ def cmd_predict(args):
     mean, var = predict_batch(emulator, X)
     sd = np.sqrt(np.maximum(var, 0.0))
     header = ",".join([f"x{i + 1}" for i in range(d)] + ["mean", "sd"])
-    lines = [header]
-    for row, m, s in zip(X, mean, sd):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(m)), repr(float(s))]))
+    # Row by row: one tolist() of the whole table would hold every row's
+    # floats at once on top of the lines.
+    table = np.column_stack([X, mean, sd])
+    lines = [header] + [",".join(map(repr, r.tolist())) for r in table]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

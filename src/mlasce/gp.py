@@ -3,10 +3,11 @@
 The smoothness nu and the nugget are held fixed; the correlation length and
 the marginal variance are estimated by maximum likelihood. The variance is
 profiled out in closed form, leaving a search over log correlation length:
-a fixed log-uniform lattice, its correlation matrices factorized as one
-stack (or one by one with jitter escalation if any is not positive
-definite), then a bounded Brent refine around the best point. Posterior
-quantities use a cached Cholesky factor of the correlation matrix.
+a fixed log-uniform lattice, its correlation matrices factorized and
+half-solved as one stack in two batched numpy calls (or one by one with
+jitter escalation if any is not positive definite), then a bounded Brent
+refine around the best point. Posterior quantities use a cached Cholesky
+factor of the correlation matrix.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ def _diameter(domain, dist):
 def log_marginal_likelihood(X, y, spec):
     """Zero-mean Gaussian log likelihood of y under cov_matrix(X, spec)."""
     X, y = _checked(X, y)
+    if spec.sigma2 <= 0.0:
+        raise ValueError("model construction requires sigma2 > 0")
     _, quad, logdet = _profile(cdist(X, X), y, spec.nu, spec.lam, spec.nugget)
     s2 = spec.sigma2
     return -0.5 * float(quad / s2 + logdet + y.size * math.log(2.0 * math.pi * s2))

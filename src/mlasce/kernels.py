@@ -3,6 +3,12 @@
 Only the half-integer smoothness values with closed forms (1/2, 3/2, 5/2,
 7/2) plus the Gaussian limit are supported; these avoid Bessel evaluation
 entirely and cover every configuration used elsewhere in the package.
+
+Single factorizations and triangular solves call LAPACK dpotrf and dtrtrs
+directly: the GP matrices are tiny (a few to a few dozen rows), so scipy's
+per-call argument checks in cholesky and solve_triangular would cost more
+than the arithmetic. They are the routines those wrappers call, so the
+results are bitwise the same.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, lapack, solve_triangular
+from scipy.linalg import LinAlgError, lapack
 from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
@@ -125,7 +131,8 @@ class CholeskyFactor:
     """Lower Cholesky factor of an SPD matrix plus the extra jitter used.
 
     ``lower`` may also hold a (K, n, n) stack of factors (see chol_stack);
-    ``solve_lower`` then solves against each factor in turn and ``logdet``
+    ``solve_lower`` then takes an (n, m) right-hand side, solves against
+    every factor in one batched call and returns (K, n, m), and ``logdet``
     has shape (K,).
     """
 
@@ -137,23 +144,26 @@ class CholeskyFactor:
 
     def solve(self, b):
         """Solve A x = b with A = L L^T."""
-        z = self.solve_lower(b)
-        return solve_triangular(self.lower, z, lower=True, trans="T", check_finite=False)
+        return _trtrs(self.lower, self.solve_lower(b), trans=1)
 
     def solve_lower(self, b):
         """Solve L z = b (half solve; useful for quadratic forms)."""
-        if self.lower.ndim == 3:
-            return np.stack([_half_solve(L, b) for L in self.lower])
-        return _half_solve(self.lower, b)
+        L = self.lower
+        if L.ndim == 3:
+            return np.linalg.solve(L, np.broadcast_to(b, L.shape[:1] + np.shape(b)))
+        return _trtrs(L, b, trans=0)
 
     @property
     def logdet(self):
         return 2.0 * np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _half_solve(L, b):
-    # One 2-D triangular solve; older scipy releases reject a stacked matrix.
-    return solve_triangular(L, b, lower=True, check_finite=False)
+def _trtrs(L, b, trans):
+    """LAPACK dtrtrs with the lower factor L (trans=1 solves L^T x = b)."""
+    x, info = lapack.dtrtrs(L, b, lower=1, trans=trans)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
@@ -199,10 +209,8 @@ def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
 def _potrf_copy(A, extra):
     """Lower factor of A + extra I in new storage, or None if not positive definite."""
     M = A if extra == 0.0 else A + extra * np.eye(A.shape[0])
-    try:
-        return cholesky(M, lower=True, check_finite=False)
-    except LinAlgError:
-        return None
+    L, info = lapack.dpotrf(M, lower=1, clean=1)
+    return None if info > 0 else L
 
 
 def _potrf_in_place(A, diag, extra):

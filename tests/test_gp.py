@@ -6,6 +6,7 @@ checks on data generated from a known kernel.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ class TestLogMarginalLikelihood:
         )
         got = log_marginal_likelihood(X, y, spec)
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_zero_variance_rejected_like_from_spec(self):
+        # Rejected up front, not after a divide-by-zero warning.
+        spec = KernelSpec(nu=2.5, lam=1.0, sigma2=0.0)
+        with pytest.raises(ValueError, match="requires sigma2 > 0"):
+            GPModel.from_spec([[0.0], [1.0]], [0.5, 1.0], spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="requires sigma2 > 0"):
+                log_marginal_likelihood([[0.0], [1.0]], [0.5, 1.0], spec)
 
 
 class TestFit:
@@ -344,23 +355,38 @@ class TestFitSearch:
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert np.all(np.isfinite(a.alpha))
 
-    def test_without_batched_triangular_solve(self, monkeypatch):
-        # Older scipy releases reject a stacked matrix in solve_triangular.
-        solve_triangular = kernels.solve_triangular
-
-        def two_d_only(a, b, **kwargs):
-            if np.ndim(a) != 2:
-                raise ValueError("expected square matrix")
-            return solve_triangular(a, b, **kwargs)
-
+    def test_stacked_lattice_matches_per_slice(self, monkeypatch):
+        # Inside fit, each batched lattice half-solve agrees with the scalar
+        # triangular solve on each slice of the same factor stack, and stacks
+        # of one lattice point each give the same fitted spec and alpha.
+        # (The slices are held fixed because at nugget 1e-8 the lattice ends
+        # reach condition numbers near 1e9, where the stacked and the scalar
+        # Cholesky round apart by up to ~1e-9 relative in q.)
         rng = np.random.default_rng(13)
         X = rng.uniform(0.0, math.pi, size=8)
         y = np.sin(X) + 0.1 * rng.normal(size=8)
-        batched = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
-        monkeypatch.setattr(kernels, "solve_triangular", two_d_only)
-        sliced = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
-        assert sliced.spec == batched.spec
-        np.testing.assert_array_equal(sliced.alpha, batched.alpha)
+        profile, stacks = gp._profile, []
+
+        def spy(dist, ys, nu, lam, nugget):
+            out = profile(dist, ys, nu, lam, nugget)
+            if np.ndim(lam):
+                stacks.append((ys, out[0], out[1]))
+            return out
+
+        monkeypatch.setattr(gp, "_profile", spy)
+        for nu in SUPPORTED_NU:
+            stacks.clear()
+            batched = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+            assert stacks
+            for ys, fac, q in stacks:
+                for k, L in enumerate(fac.lower):
+                    z = kernels.CholeskyFactor(np.asfortranarray(L)).solve_lower(ys)
+                    assert q[k] == pytest.approx(z @ z, rel=1e-12)
+            with monkeypatch.context() as m:
+                m.setattr(gp, "_STACK_ENTRIES", 1)
+                chunked = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+            assert chunked.spec == batched.spec
+            np.testing.assert_array_equal(chunked.alpha, batched.alpha)
 
     def test_flat_likelihood_takes_first_lattice_point(self):
         model = fit([0.0, math.pi], [1.0, -1.0], nu=2.5, nugget=1e-8, domain=(0.0, math.pi))

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mlasce.errors import FactorizationError
+from mlasce.gp import _profile
 from mlasce.kernels import (
     SUPPORTED_NU,
     CholeskyFactor,
@@ -249,6 +251,68 @@ class TestCholStack:
         A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
         with pytest.raises(np.linalg.LinAlgError):
             chol_stack(A)
+
+
+def scipy_chol_factor(A, jitter0):
+    """Oracle: chol_factor's jitter escalation on top of scipy.linalg.cholesky."""
+    base, extra = max(jitter0, 1e-12), 0.0
+    while True:
+        try:
+            M = A if extra == 0.0 else A + extra * np.eye(len(A))
+            return scipy.linalg.cholesky(M, lower=True, check_finite=False), extra
+        except np.linalg.LinAlgError:
+            extra = base * 10.0 if extra == 0.0 else extra * 10.0
+
+
+class TestLapackSolves:
+    # The factor solves call LAPACK dtrtrs directly; they must be the very
+    # solves scipy.linalg.solve_triangular makes, for every layout of b.
+    @pytest.mark.parametrize(
+        "shape, order", [((7,), "C"), ((7, 3), "C"), ((7, 3), "F"), ((7, 1), "C"), ((7, 0), "C")]
+    )
+    def test_bitwise_equal_to_solve_triangular(self, shape, order):
+        M = np.random.default_rng(21).normal(size=(7, 7))
+        fac = chol_factor(M @ M.T + 7.0 * np.eye(7))
+        b = np.asarray(np.random.default_rng(22).normal(size=shape), order=order)
+        L = fac.lower
+        half = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+        full = scipy.linalg.solve_triangular(L, half, lower=True, trans="T", check_finite=False)
+        assert np.array_equal(fac.solve_lower(b), half)
+        assert np.array_equal(fac.solve(b), full)
+        assert fac.solve(b).shape == b.shape
+
+    def test_singular_factor_raises(self):
+        fac = CholeskyFactor(np.asfortranarray([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            fac.solve_lower(np.ones(2))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            fac.solve(np.ones(2))
+
+    @pytest.mark.parametrize(
+        "A, jitter0",
+        [(np.ones((3, 3)), 1e-8), (near_duplicate_gram(0.0), 1e-14), (near_duplicate_gram(5e-10), 1e-14)],
+    )
+    def test_jitter_path_matches_scipy_cholesky(self, A, jitter0):
+        ref, jitter = scipy_chol_factor(A, jitter0)
+        fac = chol_factor(A, jitter0=jitter0)
+        assert jitter > 0.0
+        assert fac.jitter == jitter
+        assert np.array_equal(fac.lower, ref)
+
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_stacked_profile_matches_per_slice(self, nu):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(0.0, 1.0, size=(9, 2))
+        y = rng.normal(size=9)
+        dist = np.linalg.norm(X[:, None] - X[None], axis=-1)
+        lams = np.exp(np.linspace(np.log(0.05), np.log(0.8), 12))
+        _, q, logdet = _profile(dist, y, nu, lams, 1e-8)
+        assert q.shape == logdet.shape == lams.shape
+        for k, lam in enumerate(lams):
+            fac, q1, logdet1 = _profile(dist, y, nu, lam, 1e-8)
+            assert fac.jitter == 0.0
+            assert q[k] == pytest.approx(q1, rel=1e-12)
+            assert logdet[k] == pytest.approx(logdet1, rel=1e-12)
 
 
 class TestHigherDimensions:
