@@ -181,10 +181,9 @@ def ladder_for(suite):
 L2_GRID_SIZE = 10001
 
 
-def l2_error(predict_fn, truth_fn, domain=DOMAIN, n=L2_GRID_SIZE):
-    """Trapezoid quadrature of (predict - truth)^2 on a uniform grid."""
-    lo, hi = float(domain[0]), float(domain[1])
-    xs = np.linspace(lo, hi, n)
+def l2_error(predict_fn, truth_fn, domain=DOMAIN):
+    """Trapezoid quadrature of (predict - truth)^2 on L2_GRID_SIZE uniform points."""
+    xs = np.linspace(float(domain[0]), float(domain[1]), L2_GRID_SIZE)
     diff = np.asarray(predict_fn(xs), dtype=float) - np.asarray(
         truth_fn(xs), dtype=float
     )

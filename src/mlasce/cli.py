@@ -119,7 +119,10 @@ def resolve_simulator(entry):
             command = [command]
         if not isinstance(command, list) or not command:
             raise ConfigError("external simulator command must be a non-empty list")
-        return ExternalSimulator(command, timeout=entry.get("timeout", DEFAULT_TIMEOUT))
+        timeout = _number(entry, "timeout", DEFAULT_TIMEOUT, float)
+        if not (math.isfinite(timeout) and timeout > 0.0):
+            raise ConfigError(f"timeout must be a positive finite number, got {timeout!r}")
+        return ExternalSimulator(command, timeout=timeout)
     raise ConfigError(
         "each level's simulator must be a builtin name or {'command': [...]}"
     )
@@ -131,11 +134,16 @@ def resolve_simulator(entry):
 
 
 def _number(doc, key, default, kind):
-    """doc[key] (or default) converted by kind; ConfigError naming key if it fails."""
+    """doc[key] (or default) converted by kind; ConfigError naming key if it
+    fails, or if an int key holds a non-integral number."""
+    value = doc.get(key, default)
     try:
-        return kind(doc.get(key, default))
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return kind(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {doc.get(key)!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
 
 class RunConfig:
@@ -180,12 +188,12 @@ class RunConfig:
         for i, entry in enumerate(levels):
             try:
                 level = {
-                    "simulator": entry["simulator"],
+                    "simulator": resolve_simulator(entry["simulator"]),
                     "cost": float(entry["cost"]),
                     "accuracy": float(entry["accuracy"]),
                     "nu": float(entry.get("nu", 2.5)),
                 }
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"level {i + 1}: {exc}") from None
             if level["nu"] not in SUPPORTED_NU:
                 raise ConfigError(
@@ -196,7 +204,7 @@ class RunConfig:
             self.ladder = FidelityLadder(
                 levels=tuple(
                     Level(
-                        simulator=resolve_simulator(lv["simulator"]),
+                        simulator=lv["simulator"],
                         cost=lv["cost"],
                         accuracy=lv["accuracy"],
                     )
@@ -289,14 +297,10 @@ def cmd_plan(args):
             sort_keys=True,
         ) + "\n"
     else:
-        header = "level,h,t,nu,n_numerical,n_closed_form,n_rounded\n"
-        lines = [
-            f"{r['level']},{r['h']!r},{r['t']!r},{r['nu']!r},{r['n_numerical']!r},"
-            + ("" if r["n_closed_form"] is None else repr(r["n_closed_form"]))
-            + f",{r['n_rounded']}"
-            for r in rows
+        lines = [",".join(rows[0])] + [
+            ",".join("" if v is None else repr(v) for v in r.values()) for r in rows
         ]
-        text = header + "\n".join(lines) + "\n"
+        text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return EXIT_OK
 
@@ -422,7 +426,6 @@ def build_parser():
     p = sub.add_parser("predict", help="evaluate a saved emulator")
     p.add_argument("--artifact", required=True)
     p.add_argument("--points", required=True)
-    p.add_argument("--format", choices=("csv",), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_predict)
 

@@ -8,12 +8,14 @@ correlation matrix (the conditional variance of one Gaussian coordinate
 given the rest). Each step fills one Fortran-ordered candidate Gram,
 evaluating the kernel in column blocks once per pair, then factorises
 and inverts it in that same buffer: one Cholesky plus one triangular
-inverse, both in place.
+inverse, both in place. The Gram has a unit diagonal plus the stabilizer,
+so chol_factor's jitter escalation (up to 1e-4) factorises it; if it ever
+cannot, the FactorizationError propagates. mice_criterion is the
+per-candidate form of the same score, kept as a reference.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +24,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import CandidatesExhausted, FactorizationError, SimulatorError
 from .gp import GPModel, fit, posterior_batch
-from .kernels import as_design, chol_factor, corr_vector, matern_corr
-
-log = logging.getLogger(__name__)
+from .kernels import as_design, check_nuggets, chol_factor, corr_vector, matern_corr
 
 DEFAULT_TAU2 = 1e-8
 DEFAULT_TAU2_S = 1.0
@@ -70,42 +70,26 @@ class DesignState:
     tau2_s: float = DEFAULT_TAU2_S
 
 
-def generate_grid(domain, n_grid, seed, mode="auto"):
+def generate_grid(domain, n_grid, seed):
     """Discretize the domain into n_grid points.
 
-    mode "grid" gives a uniform tensor grid, "stratified" a Latin-hypercube
-    style sample with one point per axis stratum; "auto" picks "grid" for
-    d = 1 and "stratified" otherwise. Deterministic given the seed.
+    d = 1 gives the uniform grid on [lo, hi]; d >= 2 a Latin-hypercube
+    style sample with one point per axis stratum, deterministic given the
+    seed.
     """
     lo, hi = domain_arrays(domain)
     d = lo.size
     if n_grid < 2:
         raise ValueError("need at least two grid points")
-    if mode == "auto":
-        mode = "grid" if d == 1 else "stratified"
-    if mode == "grid":
-        if d == 1:
-            pts = np.linspace(lo[0], hi[0], n_grid).reshape(-1, 1)
-        else:
-            # The largest m with m**d <= n_grid, checked in integers: the
-            # float root of an exact power can fall just below it.
-            m = int(round(n_grid ** (1.0 / d)))
-            while m ** d > n_grid:
-                m -= 1
-            if m < 2:
-                raise ValueError(f"{d}-D tensor grid needs n_grid >= {2 ** d}, got {n_grid}")
-            axes = [np.linspace(lo[j], hi[j], m) for j in range(d)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            pts = np.column_stack([ax.ravel() for ax in mesh])
-    elif mode == "stratified":
+    if d == 1:
+        pts = np.linspace(lo[0], hi[0], n_grid).reshape(-1, 1)
+    else:
         rng = np.random.default_rng(seed)
         pts = np.empty((n_grid, d))
         for j in range(d):
             perm = rng.permutation(n_grid)
             offs = rng.uniform(size=n_grid)
             pts[:, j] = lo[j] + (perm + offs) / n_grid * (hi[j] - lo[j])
-    else:
-        raise ValueError(f"unknown grid mode {mode!r}")
     return CandidateSet(grid=pts, cand=np.arange(len(pts)), rng_seed=int(seed))
 
 
@@ -185,22 +169,7 @@ def _select(state, cands):
     active = cands.cand
     if active.size == 0:
         raise CandidatesExhausted("no candidate points left to select")
-    pts = cands.grid[active]
-    try:
-        scores = mice_scores(state, pts)
-    except FactorizationError:
-        # Degenerate stabilization nugget; score candidates one by one.
-        scores = np.full(active.size, -np.inf)
-        for i in range(active.size):
-            rest = np.delete(pts, i, axis=0)
-            try:
-                scores[i] = mice_criterion(state, pts[i], rest)
-            except FactorizationError:
-                log.warning("skipping candidate %s: degenerate denominator", pts[i])
-        if not np.any(np.isfinite(scores)):
-            raise FactorizationError(
-                "every candidate produced a degenerate denominator"
-            ) from None
+    scores = mice_scores(state, cands.grid[active])
     chosen = int(active[_first_max(scores)])
     return cands.grid[chosen].copy(), chosen
 
@@ -257,8 +226,7 @@ def mice_run(
     n_initial = min(n_initial, n_target)
     if n_initial < 1:
         raise ValueError("need at least one initial point")
-    if not (np.isfinite(tau2_s) and tau2_s >= 0.0):
-        raise ValueError(f"stabilizer tau2_s must be finite and >= 0, got {tau2_s!r}")
+    check_nuggets(nugget, tau2_s)
     ss = np.random.SeedSequence(seed)
     grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     cands = generate_grid(domain, n_grid, grid_seed)

@@ -28,7 +28,8 @@ from .design import (
 )
 from .errors import BudgetError, SimulatorError
 from .gp import GPModel, _unit_residual_var, fit, posterior_batch, rkhs_norm_sq
-from .kernels import SUPPORTED_NU
+from .kernels import SUPPORTED_NU, check_nuggets
+from .planner import check_ladder
 
 
 class SurrogateNormWarning(UserWarning):
@@ -55,18 +56,7 @@ class FidelityLadder:
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("ladder needs at least one level")
-        costs = [lv.cost for lv in self.levels]
-        accs = [lv.accuracy for lv in self.levels]
-        if any(c <= 0 for c in costs):
-            raise ValueError("costs must be positive")
-        if any(b <= a for a, b in zip(costs, costs[1:])):
-            raise ValueError("costs must be strictly increasing across levels")
-        if any(b >= a for a, b in zip(accs, accs[1:])):
-            raise ValueError("accuracies must be strictly decreasing across levels")
-        if not 0.0 < accs[0] <= 1.0:
-            raise ValueError("first-level accuracy must lie in (0, 1]")
-        if accs[-1] <= 0.0:
-            raise ValueError("accuracies must stay positive")
+        check_ladder([lv.accuracy for lv in self.levels], [lv.cost for lv in self.levels])
 
     @property
     def L(self):
@@ -154,16 +144,13 @@ class MultilevelEmulator:
         return [lv.model.n for lv in self.levels]
 
     @classmethod
-    def from_models(cls, models, domain, costs=None, weights=None, budget=0.0):
+    def from_models(cls, models, domain):
         """Assemble an emulator directly from fitted per-level models."""
-        levels = []
-        for i, m in enumerate(models):
-            c = 1.0 if costs is None else costs[i]
-            w = c if weights is None else weights[i]
-            levels.append(
-                LevelState(level=i + 1, model=m, cost_per_eval=c, weight=w)
-            )
-        return cls(levels=levels, domain=domain, budget=budget, spent=0.0)
+        levels = [
+            LevelState(level=i + 1, model=m, cost_per_eval=1.0, weight=1.0)
+            for i, m in enumerate(models)
+        ]
+        return cls(levels=levels, domain=domain, budget=0.0, spent=0.0)
 
 
 def score(model_before, model_after, a_l, t_eff):
@@ -234,8 +221,7 @@ def mlasce_run(
         raise ValueError(f"weights must be finite and positive, got {weights}")
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
-    if not (math.isfinite(tau2_s) and tau2_s >= 0.0):
-        raise ValueError(f"stabilizer tau2_s must be finite and >= 0, got {tau2_s!r}")
+    check_nuggets(nugget, tau2_s)
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
         raise BudgetError(

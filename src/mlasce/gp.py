@@ -24,6 +24,7 @@ from .kernels import (
     CholeskyFactor,
     KernelSpec,
     as_design,
+    check_nuggets,
     chol_factor,
     chol_stack,
     corr_vector,
@@ -138,6 +139,7 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     an end, out to the box bound, itself also tried), winning on a gain
     above _FTOL.
     """
+    check_nuggets(nugget)
     X, y = _checked(X, y)
     n = X.shape[0]
     dist = cdist(X, X)

@@ -58,8 +58,14 @@ class KernelSpec:
             raise ValueError(f"correlation length must be positive, got {self.lam!r}")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError(f"variance must be nonnegative, got {self.sigma2!r}")
-        if not (np.isfinite(self.nugget) and self.nugget >= 0.0):
-            raise ValueError(f"nugget must be nonnegative, got {self.nugget!r}")
+        check_nuggets(self.nugget)
+
+
+def check_nuggets(nugget, tau2_s=0.0):
+    """ValueError unless the nugget and the MICE stabilizer tau2_s are finite and >= 0."""
+    for name, value in (("nugget", nugget), ("stabilizer tau2_s", tau2_s)):
+        if not (np.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def as_design(X):

@@ -28,6 +28,19 @@ _MAX_ITERS = 100
 MAX_PLAN_LEVELS = 12
 
 
+def check_ladder(h, t):
+    """ValueError unless the costs t are positive and strictly increasing and
+    the accuracies h strictly decreasing, with h_1 in (0, 1] and h_L > 0."""
+    if not all(v > 0 for v in t) or not all(b > a for a, b in zip(t, t[1:])):
+        raise ValueError("costs must be positive and strictly increasing")
+    if not all(b < a for a, b in zip(h, h[1:])):
+        raise ValueError("accuracies must be strictly decreasing")
+    if not 0.0 < h[0] <= 1.0:
+        raise ValueError("first-level accuracy must lie in (0, 1]")
+    if h[-1] <= 0.0:
+        raise ValueError("accuracies must stay positive")
+
+
 @dataclass(frozen=True)
 class PlanParams:
     """Inputs of the allocation problem.
@@ -55,14 +68,7 @@ class PlanParams:
         object.__setattr__(self, "nu", tuple(nu))
         if L < 1 or len(t) != L:
             raise ValueError("h and t must list one value per level")
-        if not all(b < a for a, b in zip(h, h[1:])):
-            raise ValueError("accuracies must be strictly decreasing")
-        if not 0.0 < h[0] <= 1.0:
-            raise ValueError("first-level accuracy must lie in (0, 1]")
-        if h[-1] <= 0.0:
-            raise ValueError("accuracies must stay positive")
-        if not all(v > 0 for v in t) or not all(b > a for a, b in zip(t, t[1:])):
-            raise ValueError("costs must be positive and strictly increasing")
+        check_ladder(h, t)
         if any(v <= 0 for v in nu):
             raise ValueError("smoothness values must be positive")
         if self.d < 1:

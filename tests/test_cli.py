@@ -110,6 +110,8 @@ class TestConfig:
             ("seed", None),
             ("truth", "toy9:1"),
             ("truth", ["toy3:3"]),
+            ("seed", 1.5),
+            ("grid_size", 21.9),
         ],
     )
     def test_malformed_value_exits_2_naming_key(
@@ -173,6 +175,25 @@ class TestPlanCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["levels"]) == 5
 
+    @pytest.mark.parametrize("common_nu", [True, False])
+    def test_csv_rows_match_json_rows(self, tmp_path, capsys, common_nu):
+        # A common nu fills n_closed_form; per-level nu leaves it empty.
+        doc = json.loads(json.dumps(TABLE_CONFIG))
+        if not common_nu:
+            doc["levels"][0]["nu"] = 3.5
+        cfg = write_config(tmp_path, doc)
+        assert main(["plan", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["levels"]
+        assert main(["plan", "--config", cfg]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        assert lines[0] == "level,h,t,nu,n_numerical,n_closed_form,n_rounded"
+        assert lines[-1] == "" and len(lines) == len(rows) + 2
+        for line, row in zip(lines[1:], rows):
+            cells = line.split(",")
+            assert int(cells[0]) == row["level"] and int(cells[6]) == row["n_rounded"]
+            for cell, key in zip(cells[1:6], ("h", "t", "nu", "n_numerical", "n_closed_form")):
+                assert (None if cell == "" else float(cell)) == row[key]
+
 
 class TestRunCommand:
     def test_run_writes_artifact_and_summary(self, tmp_path, capsys):
@@ -215,10 +236,21 @@ class TestRunCommand:
         cfg = write_config(tmp_path, TOY3_CONFIG)
         assert main(["run", "--config", cfg, "--budget", "nan"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
-    def test_invalid_stabilizer_is_config_error(self, tmp_path, value):
-        cfg = write_config(tmp_path, dict(TOY3_CONFIG, stabilizer=value))
+    @pytest.mark.parametrize(
+        "key, value",
+        [("stabilizer", v) for v in (math.nan, math.inf, -1.0)]
+        + [("nugget", v) for v in (math.nan, math.inf, -1.0)],
+        ids=["nan", "inf", "-1.0", "nugget-nan", "nugget-inf", "nugget--1.0"],
+    )
+    def test_invalid_stabilizer_is_config_error(self, tmp_path, monkeypatch, key, value):
+        calls = []
+        sim = builtin_simulators()["toy3:1"]
+        monkeypatch.setattr(
+            "mlasce.cli.resolve_simulator", lambda entry: lambda x: calls.append(x) or sim(x)
+        )
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, **{key: value}))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert calls == []
 
     def test_truth_on_2d_domain_fails_before_any_evaluation(self, tmp_path, monkeypatch):
         calls = []
@@ -417,6 +449,20 @@ class TestExternalSimulator:
         for e in em.ledger:
             if e.level == 2:
                 assert e.delta == pytest.approx(e.x[0] - math.sin(e.x[0]), abs=1e-12)
+
+    @pytest.mark.parametrize("timeout", [-1, 0, math.nan, math.inf, "soon", None])
+    def test_bad_timeout_fails_at_load_without_spawning(
+        self, tmp_path, capsys, monkeypatch, timeout
+    ):
+        spawned = []
+        monkeypatch.setattr("mlasce.cli.subprocess.run", lambda *a, **k: spawned.append(a))
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][2]["simulator"] = {"command": ["true"], "timeout": timeout}
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "level 3" in err and "timeout" in err
+        assert spawned == []
 
     def test_simulator_failure_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(TOY3_CONFIG))

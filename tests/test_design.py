@@ -100,32 +100,6 @@ class TestGenerateGrid:
             strata = np.floor(cs.grid[:, j] * 100).astype(int)
             assert sorted(strata) == list(range(100))
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_tensor_grid_exact_power(self, d):
-        # 1000 ** (1/3) is 9.999... in floating point; the axis count must
-        # still be 10.
-        for m in (2, 3, 5, 10):
-            cs = generate_grid(([0.0] * d, [1.0] * d), m ** d, seed=0, mode="grid")
-            assert cs.grid.shape == (m ** d, d)
-            for j in range(d):
-                np.testing.assert_array_equal(np.unique(cs.grid[:, j]), np.linspace(0, 1, m))
-
-    def test_tensor_grid_non_power_rounds_down(self):
-        cs = generate_grid(([0.0] * 3, [1.0] * 3), 999, seed=0, mode="grid")
-        assert cs.grid.shape == (9 ** 3, 3)
-
-    def test_tensor_grid_below_two_per_axis_rejected(self):
-        # Two points per axis is the smallest tensor grid: 2**3 = 8 in 3-D.
-        with pytest.raises(ValueError, match="n_grid >= 8"):
-            generate_grid(([0.0] * 3, [1.0] * 3), 5, seed=0, mode="grid")
-
-    def test_tensor_grid_smallest_exact(self):
-        cs = generate_grid(([0.0] * 3, [1.0] * 3), 8, seed=0, mode="grid")
-        assert cs.grid.shape == (8, 3)
-        assert set(map(tuple, cs.grid.tolist())) == {
-            (a, b, c) for a in (0.0, 1.0) for b in (0.0, 1.0) for c in (0.0, 1.0)
-        }
-
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
             generate_grid((1.0, 1.0), 10, seed=0)
@@ -267,18 +241,21 @@ class TestMiceScores:
         pts = np.array([[0.1, 0.2], [0.8, 0.7]])
         np.testing.assert_allclose(mice_scores(state, pts), brute_scores(state, pts), rtol=1e-9)
 
-    def test_failed_inverse_falls_back_to_per_candidate(self, monkeypatch):
+    def test_failed_inverse_propagates(self, monkeypatch):
+        # No per-candidate fallback: the select and the step raise too.
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.0, nugget=1e-8)
         state = make_state_2d(spec)
         grid = np.random.default_rng(2).uniform(0.0, 1.0, size=(12, 2))
         cands = CandidateSet(grid=grid, cand=np.arange(12), rng_seed=0)
-        expected = _select(state, cands)[1]
         monkeypatch.setattr(
             design.lapack, "dtrtri", lambda c, lower=0, overwrite_c=0: (c, 3)
         )
         with pytest.raises(FactorizationError, match="info=3"):
             mice_scores(state, grid)
-        assert _select(state, cands)[1] == expected
+        with pytest.raises(FactorizationError, match="info=3"):
+            _select(state, cands)
+        with pytest.raises(FactorizationError, match="info=3"):
+            mice_step(state, cands)
 
 
 class TestMiceStep:
@@ -372,6 +349,18 @@ class TestStabilizerValidation:
 
         with pytest.raises(ValueError, match="stabilizer"):
             mice_run(spy, (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=tau2_s)
+        assert calls == []
+
+    @pytest.mark.parametrize("nugget", [math.nan, math.inf, -1.0])
+    def test_bad_nugget_rejected_before_any_evaluation(self, nugget):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return 0.0
+
+        with pytest.raises(ValueError, match="nugget must be finite and >= 0"):
+            mice_run(spy, (0.0, math.pi), 5, nu=2.5, seed=1, nugget=nugget)
         assert calls == []
 
     def test_zero_stabilizer_accepted(self):

@@ -153,6 +153,22 @@ class TestMlasceRun:
         with pytest.raises(ValueError, match="stabilizer"):
             mlasce_run(toy_ladder(), budget=200.0, nu=2.5, tau2_s=tau2_s, seed=0, n_grid=41)
 
+    @pytest.mark.parametrize("nugget", [math.nan, math.inf, -1.0])
+    def test_rejects_invalid_nugget_before_any_run(self, nugget):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return 0.0
+
+        ladder = FidelityLadder(
+            levels=(Level(spy, cost=4.0, accuracy=1.0), Level(spy, cost=16.0, accuracy=0.5)),
+            domain=DOMAIN,
+        )
+        with pytest.raises(ValueError, match="nugget must be finite and >= 0"):
+            mlasce_run(ladder, budget=200.0, nu=2.5, nugget=nugget, seed=0, n_grid=41)
+        assert calls == []
+
     def test_exact_initialization_budget(self):
         em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
         assert em.counts == [1, 1, 1]

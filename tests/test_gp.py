@@ -87,6 +87,17 @@ class TestLogMarginalLikelihood:
 
 
 class TestFit:
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("nugget", [math.nan, math.inf, -1.0])
+    def test_bad_nugget_rejected_before_the_search(self, monkeypatch, nugget, n):
+        calls = []
+        profile = gp._profile
+        monkeypatch.setattr(gp, "_profile", lambda *a: calls.append(a) or profile(*a))
+        X = np.linspace(0.0, 1.0, n)
+        with pytest.raises(ValueError, match="nugget must be finite and >= 0"):
+            fit(X, np.sin(X), nu=2.5, nugget=nugget)
+        assert calls == []
+
     def test_single_point_degenerate_rule(self):
         model = fit([[0.5]], [3.0], nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
         lo, hi = lambda_bounds(math.pi)

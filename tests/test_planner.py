@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from mlasce.emulator import FidelityLadder, Level
 from mlasce.errors import InfeasibleError
 from mlasce.planner import (
     MAX_PLAN_LEVELS,
@@ -50,6 +51,35 @@ def random_params(rng, common_nu=True):
     alpha = rng.choice([0.5, 1.0, 2.0])
     budget = sum(t) * rng.uniform(3.0, 20.0)
     return PlanParams(h=tuple(h), t=tuple(t), nu=nu, d=d, alpha=alpha, budget=budget)
+
+
+# (h, t) pairs that break one ladder rule each.
+BAD_LADDERS = {
+    "equal-costs": ((1.0, 0.5), (4.0, 4.0)),
+    "falling-costs": ((1.0, 0.5), (4.0, 2.0)),
+    "zero-cost": ((1.0, 0.5), (0.0, 4.0)),
+    "negative-cost": ((1.0,), (-1.0,)),
+    "nan-cost": ((1.0, 0.5), (math.nan, 4.0)),
+    "equal-accuracies": ((1.0, 1.0), (1.0, 4.0)),
+    "rising-accuracies": ((0.5, 1.0), (1.0, 4.0)),
+    "nan-accuracy": ((1.0, math.nan), (1.0, 4.0)),
+    "h1-above-one": ((1.5, 0.5), (1.0, 4.0)),
+    "h1-zero": ((0.0,), (1.0,)),
+    "hL-zero": ((0.5, 0.0), (1.0, 4.0)),
+    "hL-negative": ((0.5, -0.25), (1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("h, t", BAD_LADDERS.values(), ids=BAD_LADDERS.keys())
+def test_bad_ladder_rejected_alike_by_ladder_and_plan(h, t):
+    with pytest.raises(ValueError) as ladder:
+        FidelityLadder(
+            levels=tuple(Level(simulator=None, cost=c, accuracy=a) for a, c in zip(h, t)),
+            domain=(0.0, 1.0),
+        )
+    with pytest.raises(ValueError) as plan:
+        PlanParams(h=h, t=t, nu=2.5, d=1, alpha=1.0, budget=1e3)
+    assert str(ladder.value) == str(plan.value)
 
 
 class TestBoundTerm:
