@@ -7,7 +7,6 @@ budget planner and the toy benchmark suite.
 from .artifact import load_artifact, save_artifact
 from .design import (
     CandidateSet,
-    DesignState,
     generate_grid,
     mice_criterion,
     mice_run,
@@ -62,7 +61,6 @@ __all__ = [
     "CandidateSet",
     "CandidatesExhausted",
     "ConfigError",
-    "DesignState",
     "FactorizationError",
     "FidelityLadder",
     "GPModel",

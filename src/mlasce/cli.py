@@ -119,6 +119,10 @@ def resolve_simulator(entry):
             command = [command]
         if not isinstance(command, list) or not command:
             raise ConfigError("external simulator command must be a non-empty list")
+        if not all(isinstance(c, str) for c in command):
+            raise ConfigError(
+                f"external simulator command items must be strings, got {command!r}"
+            )
         timeout = _number(entry, "timeout", DEFAULT_TIMEOUT, float)
         if not (math.isfinite(timeout) and timeout > 0.0):
             raise ConfigError(f"timeout must be a positive finite number, got {timeout!r}")
@@ -135,13 +139,16 @@ def resolve_simulator(entry):
 
 def _number(doc, key, default, kind):
     """doc[key] (or default) converted by kind; ConfigError naming key if it
-    fails, or if an int key holds a non-integral number."""
+    fails or overflows, if it is a boolean, or if an int key holds a
+    non-integral number."""
     value = doc.get(key, default)
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (
+            kind is int and isinstance(value, float) and not value.is_integer()
+        ):
             raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
@@ -183,49 +190,39 @@ class RunConfig:
                 raise ConfigError(
                     f"truth {self.truth!r} needs a 1-D domain, got d={lo.size}"
                 )
-        self.weights = doc.get("weights", "cost")
-        self.levels = []
+        built = []
+        self.nus = []
         for i, entry in enumerate(levels):
             try:
-                level = {
-                    "simulator": resolve_simulator(entry["simulator"]),
-                    "cost": float(entry["cost"]),
-                    "accuracy": float(entry["accuracy"]),
-                    "nu": float(entry.get("nu", 2.5)),
-                }
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise ConfigError(f"level {i + 1}: {exc}") from None
-            if level["nu"] not in SUPPORTED_NU:
-                raise ConfigError(
-                    f"level {i + 1}: nu must be one of {SUPPORTED_NU}"
-                )
-            self.levels.append(level)
-        try:
-            self.ladder = FidelityLadder(
-                levels=tuple(
+                built.append(
                     Level(
-                        simulator=lv["simulator"],
-                        cost=lv["cost"],
-                        accuracy=lv["accuracy"],
+                        simulator=resolve_simulator(entry["simulator"]),
+                        cost=_number(entry, "cost", None, float),
+                        accuracy=_number(entry, "accuracy", None, float),
                     )
-                    for lv in self.levels
-                ),
-                domain=self.domain,
-            )
+                )
+                self.nus.append(_number(entry, "nu", 2.5, float))
+            except (KeyError, TypeError, ConfigError) as exc:
+                raise ConfigError(f"level {i + 1}: {exc}") from None
+            if self.nus[-1] not in SUPPORTED_NU:
+                raise ConfigError(f"level {i + 1}: nu must be one of {SUPPORTED_NU}")
+        try:
+            self.ladder = FidelityLadder(levels=tuple(built), domain=self.domain)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        self.nus = [lv["nu"] for lv in self.levels]
-        if self.weights != "cost":
-            try:
-                self.weights = [float(w) for w in self.weights]
-            except (TypeError, ValueError):
-                raise ConfigError("weights must be 'cost' or a list of numbers") from None
-            if len(self.weights) != len(self.levels):
+        # None weighs each level by its increment cost.
+        weights = doc.get("weights", "cost")
+        self.weights = None
+        if weights != "cost":
+            if not isinstance(weights, list):
+                raise ConfigError(
+                    f"weights must be 'cost' or a list of numbers, got {weights!r}"
+                )
+            self.weights = [
+                _number({"weights": w}, "weights", None, float) for w in weights
+            ]
+            if len(self.weights) != len(built):
                 raise ConfigError("need one weight per level")
-
-    @property
-    def weight_vector(self):
-        return None if self.weights == "cost" else self.weights
 
     def truth_fn(self):
         """The truth's vectorised suite function of xs, or None without a truth."""
@@ -263,9 +260,9 @@ def cmd_plan(args):
     config = load_config(args.config)
     budget = args.budget if args.budget is not None else config.budget
     params = PlanParams(
-        h=tuple(lv["accuracy"] for lv in config.levels),
-        t=tuple(lv["cost"] for lv in config.levels),
-        nu=tuple(lv["nu"] for lv in config.levels),
+        h=tuple(lv.accuracy for lv in config.ladder.levels),
+        t=tuple(lv.cost for lv in config.ladder.levels),
+        nu=tuple(config.nus),
         d=config.domain[0].size,
         alpha=config.alpha,
         budget=budget,
@@ -319,7 +316,7 @@ def cmd_run(args):
         config.ladder,
         budget,
         nu=config.nus,
-        a=config.weight_vector,
+        a=config.weights,
         seed=seed,
         nugget=config.nugget,
         tau2_s=config.stabilizer,

@@ -53,21 +53,9 @@ class CandidateSet:
 
     grid: np.ndarray
     cand: np.ndarray
-    rng_seed: int
 
     def without(self, grid_index):
         return replace(self, cand=self.cand[self.cand != grid_index])
-
-
-@dataclass(frozen=True)
-class DesignState:
-    """Current design, observations, fitted model and the two nuggets."""
-
-    X: np.ndarray
-    y: np.ndarray
-    model: GPModel
-    tau2: float = DEFAULT_TAU2
-    tau2_s: float = DEFAULT_TAU2_S
 
 
 def generate_grid(domain, n_grid, seed):
@@ -90,11 +78,7 @@ def generate_grid(domain, n_grid, seed):
             perm = rng.permutation(n_grid)
             offs = rng.uniform(size=n_grid)
             pts[:, j] = lo[j] + (perm + offs) / n_grid * (hi[j] - lo[j])
-    return CandidateSet(grid=pts, cand=np.arange(len(pts)), rng_seed=int(seed))
-
-
-def _stabilized_nugget(state):
-    return max(state.tau2, state.tau2_s)
+    return CandidateSet(grid=pts, cand=np.arange(len(pts)))
 
 
 def _corr_gram(pts, spec, diag_add):
@@ -113,17 +97,15 @@ def _corr_gram(pts, spec, diag_add):
     return R
 
 
-def mice_criterion(state, x, cand_rest):
+def mice_criterion(model, x, cand_rest, tau_bar):
     """MICE score of candidate x against the remaining candidates.
 
-    Numerator: the current model's predictive variance at x. Denominator:
-    the predictive variance of the observation at x for a GP conditioned
-    on cand_rest with nugget max(tau2, tau2_s); with no remaining
-    candidates that is the unconditioned sigma2 * (1 + nugget).
+    Numerator: the model's predictive variance at x. Denominator: the
+    predictive variance of the observation at x for a GP conditioned on
+    cand_rest with the stabilized nugget tau_bar = max(tau2, tau2_s); with
+    no remaining candidates that is the unconditioned sigma2 * (1 + tau_bar).
     """
-    model = state.model
     spec = model.spec
-    tau_bar = _stabilized_nugget(state)
     xq = as_design(np.reshape(x, (1, -1)))
     _, num = posterior_batch(model, xq)
     num = float(num[0])
@@ -138,7 +120,7 @@ def mice_criterion(state, x, cand_rest):
     return num / den
 
 
-def mice_scores(state, points):
+def mice_scores(model, points, tau_bar):
     """Criterion values for every candidate point in one Cholesky plus one
     triangular inverse, both in the candidate Gram's own buffer.
 
@@ -148,9 +130,7 @@ def mice_scores(state, points):
     With R + tau I = L L^T that diagonal is the squared column norms of
     L^{-1}, which LAPACK trtri writes over L.
     """
-    model = state.model
     spec = model.spec
-    tau_bar = _stabilized_nugget(state)
     pts = as_design(points)
     _, num = posterior_batch(model, pts)
     if len(pts) == 1:
@@ -164,12 +144,12 @@ def mice_scores(state, points):
     return num / den
 
 
-def _select(state, cands):
+def _select(model, cands, tau_bar):
     """Criterion argmax over active candidates; returns (point, grid index)."""
     active = cands.cand
     if active.size == 0:
         raise CandidatesExhausted("no candidate points left to select")
-    scores = mice_scores(state, cands.grid[active])
+    scores = mice_scores(model, cands.grid[active], tau_bar)
     chosen = int(active[_first_max(scores)])
     return cands.grid[chosen].copy(), chosen
 
@@ -181,13 +161,13 @@ def _first_max(scores):
     return int(np.flatnonzero(scores >= top - 4e-12 * abs(top))[0])
 
 
-def mice_step(state, cands):
+def mice_step(model, cands, tau_bar):
     """Pick the criterion argmax among active candidates.
 
     Returns the chosen point and the candidate set with it removed. Ties
     break to the lowest candidate index.
     """
-    x, chosen = _select(state, cands)
+    x, chosen = _select(model, cands, tau_bar)
     return x, cands.without(chosen)
 
 
@@ -219,14 +199,17 @@ def mice_run(
     """Run the full select-evaluate-refit loop up to n_target points.
 
     After n_initial random grid points, each point is the ``mice_step``
-    pick among the unused candidates. With ``spec`` given the
-    hyperparameters stay fixed (no refitting); otherwise the correlation
-    length and variance are re-estimated after every evaluation.
+    pick among the unused candidates, scored with the stabilized nugget
+    max(nugget, tau2_s). With ``spec`` given the hyperparameters stay
+    fixed (no refitting); otherwise the correlation length and variance
+    are re-estimated after every evaluation. Returns the final GPModel,
+    whose X and y are the evaluated design.
     """
     n_initial = min(n_initial, n_target)
     if n_initial < 1:
         raise ValueError("need at least one initial point")
     check_nuggets(nugget, tau2_s)
+    tau_bar = max(nugget, tau2_s)
     ss = np.random.SeedSequence(seed)
     grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
     cands = generate_grid(domain, n_grid, grid_seed)
@@ -242,11 +225,9 @@ def mice_run(
             return GPModel.from_spec(X, y, spec)
         return fit(X, y, nu, nugget=nugget, domain=domain)
 
-    state = DesignState(X=X, y=y, model=refit(X, y), tau2=nugget, tau2_s=tau2_s)
-    while state.model.n < n_target:
-        x, cands = mice_step(state, cands)
+    model = refit(X, y)
+    while model.n < n_target:
+        x, cands = mice_step(model, cands, tau_bar)
         y_new = _evaluate(simulator, x)
-        X = np.vstack([state.X, x])
-        y = np.append(state.y, y_new)
-        state = replace(state, X=X, y=y, model=refit(X, y))
-    return state
+        model = refit(np.vstack([model.X, x]), np.append(model.y, y_new))
+    return model

@@ -20,7 +20,6 @@ from .design import (
     DEFAULT_TAU2,
     DEFAULT_TAU2_S,
     CandidateSet,
-    DesignState,
     _evaluate,
     _first_max,
     _select,
@@ -222,6 +221,7 @@ def mlasce_run(
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
     check_nuggets(nugget, tau2_s)
+    tau_bar = max(nugget, tau2_s)
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
         raise BudgetError(
@@ -298,10 +298,7 @@ def mlasce_run(
         pick = affordable[_first_max([effective(levels[i]) for i in affordable])]
         iteration += 1
         lv = levels[pick]
-        state = DesignState(
-            X=lv.model.X, y=lv.model.y, model=lv.model, tau2=nugget, tau2_s=tau2_s
-        )
-        x, chosen = _select(state, lv.cands)
+        x, chosen = _select(lv.model, lv.cands, tau_bar)
         extend(lv, x, chosen, iteration)
 
     return MultilevelEmulator(

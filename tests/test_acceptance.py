@@ -20,7 +20,7 @@ from mlasce.bench import (
     run_suite,
     xi,
 )
-from mlasce.design import CandidateSet, DesignState, mice_run, mice_step
+from mlasce.design import CandidateSet, mice_run, mice_step
 from mlasce.emulator import mlasce_run, predict_batch
 from mlasce.gp import GPModel, posterior_batch, power_batch
 from mlasce.kernels import SUPPORTED_NU, KernelSpec, matern, matern_corr
@@ -136,7 +136,7 @@ def test_c4_mice_convergence():
     delta, _ = kernel_combination(spec, Z, a)
 
     def sup_err(n_points):
-        state = mice_run(
+        model = mice_run(
             lambda x: float(delta(x[0])[0]),
             (0.0, PI),
             n_points,
@@ -147,7 +147,7 @@ def test_c4_mice_convergence():
             n_grid=201,
         )
         probes = np.linspace(0.0, PI, 1000)
-        mean, _ = posterior_batch(state.model, probes)
+        mean, _ = posterior_batch(model, probes)
         return float(np.abs(mean - delta(probes)).max())
 
     e5, e40 = sup_err(5), sup_err(40)
@@ -170,9 +170,8 @@ def test_c5_mice_matches_brute_force():
         y = rng.normal(size=n_train)
         model = GPModel.from_spec(X, y, spec)
         tau2_s = float(rng.choice([1.0, 0.5, 2.0]))
-        state = DesignState(X=X, y=y, model=model, tau2=1e-8, tau2_s=tau2_s)
         grid = rng.uniform(0.0, PI, size=(n_cand, 1))
-        cands = CandidateSet(grid=grid, cand=np.arange(n_cand), rng_seed=0)
+        cands = CandidateSet(grid=grid, cand=np.arange(n_cand))
 
         # brute force: dense per-candidate conditioning, same tie band
         tau_bar = max(1e-8, tau2_s)
@@ -197,7 +196,7 @@ def test_c5_mice_matches_brute_force():
         top = scores.max()
         oracle = int(np.nonzero(scores >= top - 4e-12 * abs(top))[0][0])
 
-        x, _ = mice_step(state, cands)
+        x, _ = mice_step(model, cands, tau_bar)
         assert np.array_equal(x, grid[oracle]), "argmax mismatch vs brute force"
 
 

@@ -112,6 +112,10 @@ class TestConfig:
             ("truth", ["toy3:3"]),
             ("seed", 1.5),
             ("grid_size", 21.9),
+            ("seed", True),
+            ("budget", True),
+            # json.dumps writes it as a 401-digit integer literal.
+            pytest.param("budget", 10**400, id="budget-int-too-large-for-float"),
         ],
     )
     def test_malformed_value_exits_2_naming_key(
@@ -123,6 +127,12 @@ class TestConfig:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    def test_boolean_level_field_is_not_a_number(self, tmp_path, capsys, command):
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][1]["accuracy"] = True
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert "level 2: accuracy must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "plan"])
     @pytest.mark.parametrize(
@@ -225,6 +235,8 @@ class TestRunCommand:
             ("weights", [1.0, math.inf, 1.0]),
             ("weights", [1.0, 0.0, 1.0]),
             ("weights", [1.0, -1.0, 1.0]),
+            ("weights", [1.0, True, 1.0]),
+            ("weights", "123"),
         ],
     )
     def test_invalid_budget_or_weights_is_config_error(self, tmp_path, key, value):
@@ -463,6 +475,25 @@ class TestExternalSimulator:
         err = capsys.readouterr().err
         assert "level 3" in err and "timeout" in err
         assert spawned == []
+
+    def test_non_string_command_item_fails_at_load_without_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return math.sin(x[0])
+
+        monkeypatch.setattr(
+            "mlasce.cli.builtin_simulators", lambda: {f"toy3:{l}": spy for l in (1, 2, 3)}
+        )
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][2]["simulator"] = {"command": [1]}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "level 3" in err and "must be strings" in err
+        assert calls == []
 
     def test_simulator_failure_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(TOY3_CONFIG))

@@ -6,7 +6,6 @@ rebuilds every numerator and denominator with plain dense numpy algebra.
 
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from scipy.spatial.distance import cdist
 from mlasce import design
 from mlasce.design import (
     CandidateSet,
-    DesignState,
     _GRAM_BLOCK,
     _corr_gram,
     _select,
@@ -30,11 +28,11 @@ from mlasce.gp import GPModel, posterior_batch, power_batch
 from mlasce.kernels import SUPPORTED_NU, CholeskyFactor, KernelSpec, matern_corr
 
 
-def brute_scores(state, points):
+def brute_scores(model, points, tau2=1e-8, tau2_s=1.0):
     """Oracle: per-candidate ratio via explicit dense solves."""
-    spec = state.model.spec
-    X = state.model.X
-    tau_bar = max(state.tau2, state.tau2_s)
+    spec = model.spec
+    X = model.X
+    tau_bar = max(tau2, tau2_s)
     pts = np.atleast_2d(points)
 
     def corr(A, B):
@@ -68,17 +66,17 @@ def assert_gram_is_dense(pts, nu):
     assert np.array_equal(R, dense)
 
 
-def make_state(X, y, spec, tau2=1e-8, tau2_s=1.0):
-    X = np.atleast_2d(np.asarray(X, float).reshape(-1, 1))
-    model = GPModel.from_spec(X, y, spec)
-    return DesignState(X=X, y=np.asarray(y, float), model=model, tau2=tau2, tau2_s=tau2_s)
+def make_model(spec, X=None, y=None, tau2=1e-8, tau2_s=1.0):
+    """A fixed-spec model and its stabilized nugget max(tau2, tau2_s).
 
-
-def make_state_2d(spec, tau2_s=1.0, n=6, seed=5):
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, 1.0, size=(n, 2))
-    model = GPModel.from_spec(X, rng.normal(size=n), spec)
-    return DesignState(X=X, y=model.y, model=model, tau2=1e-8, tau2_s=tau2_s)
+    X given is a 1-D design; without it the model holds six random
+    points of the unit square.
+    """
+    if X is None:
+        rng = np.random.default_rng(5)
+        X, y = rng.uniform(0.0, 1.0, size=(6, 2)), rng.normal(size=6)
+    model = GPModel.from_spec(np.reshape(np.asarray(X, float), (len(X), -1)), y, spec)
+    return model, max(tau2, tau2_s)
 
 
 class TestGenerateGrid:
@@ -112,44 +110,44 @@ class TestGenerateGrid:
 class TestMiceCriterion:
     def test_empty_rest_uses_unconditioned_denominator(self):
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=2.0, nugget=1e-8)
-        state = make_state([0.0, 1.0], [0.0, 1.0], spec, tau2=1e-8, tau2_s=0.7)
+        model, tau_bar = make_model(spec, [0.0, 1.0], [0.0, 1.0], tau2=1e-8, tau2_s=0.7)
         x = np.array([2.0])
-        num = posterior_batch(state.model, x)[1][0]
+        num = posterior_batch(model, x)[1][0]
         want = num / (2.0 * (1.0 + 0.7))
-        assert mice_criterion(state, x, []) == pytest.approx(want, rel=1e-12)
+        assert mice_criterion(model, x, [], tau_bar) == pytest.approx(want, rel=1e-12)
 
     def test_duplicate_of_training_point_scores_zero(self):
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=1.0, nugget=1e-8)
-        state = make_state([0.0, 1.0, 2.0], [0.1, -0.4, 0.2], spec)
-        score = mice_criterion(state, np.array([1.0]), np.array([[0.5], [1.5]]))
+        model, tau_bar = make_model(spec, [0.0, 1.0, 2.0], [0.1, -0.4, 0.2])
+        score = mice_criterion(model, np.array([1.0]), np.array([[0.5], [1.5]]), tau_bar)
         assert 0.0 <= score < 1e-6
 
     def test_argmax_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(77)
         spec = KernelSpec(nu=1.5, lam=0.4, sigma2=1.3, nugget=1e-8)
-        state = make_state(
-            rng.uniform(0.0, math.pi, 4), rng.normal(size=4), spec, tau2_s=1.0
+        model, tau_bar = make_model(
+            spec, rng.uniform(0.0, math.pi, 4), rng.normal(size=4), tau2_s=1.0
         )
         pts = rng.uniform(0.0, math.pi, size=(10, 1))
         direct = np.array(
             [
-                mice_criterion(state, pts[i], np.delete(pts, i, axis=0))
+                mice_criterion(model, pts[i], np.delete(pts, i, axis=0), tau_bar)
                 for i in range(10)
             ]
         )
-        oracle = brute_scores(state, pts)
+        oracle = brute_scores(model, pts)
         np.testing.assert_allclose(direct, oracle, rtol=1e-9)
         assert int(np.argmax(direct)) == int(np.argmax(oracle))
 
     def test_fast_scores_equal_per_candidate_conditioning(self):
         rng = np.random.default_rng(13)
         spec = KernelSpec(nu=2.5, lam=0.7, sigma2=2.1, nugget=1e-8)
-        state = make_state(rng.uniform(0, 2, 5), rng.normal(size=5), spec)
+        model, tau_bar = make_model(spec, rng.uniform(0, 2, 5), rng.normal(size=5))
         pts = rng.uniform(0.0, 2.0, size=(25, 1))
-        fast = mice_scores(state, pts)
+        fast = mice_scores(model, pts, tau_bar)
         slow = np.array(
             [
-                mice_criterion(state, pts[i], np.delete(pts, i, axis=0))
+                mice_criterion(model, pts[i], np.delete(pts, i, axis=0), tau_bar)
                 for i in range(25)
             ]
         )
@@ -162,12 +160,12 @@ class TestMiceScores:
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     def test_equals_per_candidate_criterion_2d(self, nu):
         spec = KernelSpec(nu=nu, lam=0.3, sigma2=1.7, nugget=1e-8)
-        state = make_state_2d(spec)
+        model, tau_bar = make_model(spec)
         pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(200, 2))
-        fast = mice_scores(state, pts)
+        fast = mice_scores(model, pts, tau_bar)
         slow = np.array(
             [
-                mice_criterion(state, pts[i], np.delete(pts, i, axis=0))
+                mice_criterion(model, pts[i], np.delete(pts, i, axis=0), tau_bar)
                 for i in range(len(pts))
             ]
         )
@@ -188,12 +186,12 @@ class TestMiceScores:
             return CholeskyFactor(fac.lower, extra)
 
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
-        state = make_state_2d(spec, tau2_s=0.5)
+        model, tau_bar = make_model(spec, tau2_s=0.5)
         pts = np.random.default_rng(8).uniform(0.0, 1.0, size=(40, 2))
         monkeypatch.setattr(design, "chol_factor", jittered)
-        got = mice_scores(state, pts)
+        got = mice_scores(model, pts, tau_bar)
         monkeypatch.undo()
-        oracle = brute_scores(replace(state, tau2_s=0.5 + extra), pts)
+        oracle = brute_scores(model, pts, tau2_s=0.5 + extra)
         np.testing.assert_allclose(got, oracle, rtol=1e-9)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -215,12 +213,12 @@ class TestMiceScores:
         # m x m array.
         m = 600
         spec = KernelSpec(nu=3.5, lam=0.3, sigma2=1.3, nugget=1e-8)
-        state = make_state_2d(spec)
+        model, tau_bar = make_model(spec)
         pts = np.random.default_rng(4).uniform(0.0, 1.0, size=(m, 2))
-        mice_scores(state, pts)
+        mice_scores(model, pts, tau_bar)
         tracemalloc.start()
         try:
-            mice_scores(state, pts)
+            mice_scores(model, pts, tau_bar)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,114 +226,127 @@ class TestMiceScores:
 
     def test_single_candidate(self):
         spec = KernelSpec(nu=1.5, lam=0.5, sigma2=2.0, nugget=1e-8)
-        state = make_state_2d(spec)
+        model, tau_bar = make_model(spec)
         pts = np.array([[0.4, 0.6]])
-        got = mice_scores(state, pts)
+        got = mice_scores(model, pts, tau_bar)
         assert got.shape == (1,)
-        np.testing.assert_allclose(got, brute_scores(state, pts), rtol=1e-12)
-        assert got[0] == pytest.approx(mice_criterion(state, pts[0], np.empty((0, 2))))
+        np.testing.assert_allclose(got, brute_scores(model, pts), rtol=1e-12)
+        assert got[0] == pytest.approx(mice_criterion(model, pts[0], np.empty((0, 2)), tau_bar))
 
     def test_two_candidates(self):
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=2.0, nugget=1e-8)
-        state = make_state_2d(spec)
+        model, tau_bar = make_model(spec)
         pts = np.array([[0.1, 0.2], [0.8, 0.7]])
-        np.testing.assert_allclose(mice_scores(state, pts), brute_scores(state, pts), rtol=1e-9)
+        np.testing.assert_allclose(
+            mice_scores(model, pts, tau_bar), brute_scores(model, pts), rtol=1e-9
+        )
 
     def test_failed_inverse_propagates(self, monkeypatch):
         # No per-candidate fallback: the select and the step raise too.
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.0, nugget=1e-8)
-        state = make_state_2d(spec)
+        model, tau_bar = make_model(spec)
         grid = np.random.default_rng(2).uniform(0.0, 1.0, size=(12, 2))
-        cands = CandidateSet(grid=grid, cand=np.arange(12), rng_seed=0)
+        cands = CandidateSet(grid=grid, cand=np.arange(12))
         monkeypatch.setattr(
             design.lapack, "dtrtri", lambda c, lower=0, overwrite_c=0: (c, 3)
         )
         with pytest.raises(FactorizationError, match="info=3"):
-            mice_scores(state, grid)
+            mice_scores(model, grid, tau_bar)
         with pytest.raises(FactorizationError, match="info=3"):
-            _select(state, cands)
+            _select(model, cands, tau_bar)
         with pytest.raises(FactorizationError, match="info=3"):
-            mice_step(state, cands)
+            mice_step(model, cands, tau_bar)
 
 
 class TestMiceStep:
     def test_single_candidate(self):
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=1.0, nugget=1e-8)
-        state = make_state([0.0], [1.0], spec)
-        cands = CandidateSet(
-            grid=np.array([[0.3]]), cand=np.array([0]), rng_seed=0
-        )
-        x, rest = mice_step(state, cands)
+        model, tau_bar = make_model(spec, [0.0], [1.0])
+        cands = CandidateSet(grid=np.array([[0.3]]), cand=np.array([0]))
+        x, rest = mice_step(model, cands, tau_bar)
         assert x[0] == 0.3
         assert rest.cand.size == 0
 
     def test_symmetric_state_picks_midpoint(self):
         spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-8)
-        state = make_state([0.0, math.pi], [0.0, 0.0], spec)
+        model, tau_bar = make_model(spec, [0.0, math.pi], [0.0, 0.0])
         grid = np.array([[math.pi / 4], [math.pi / 2], [3 * math.pi / 4]])
-        cands = CandidateSet(grid=grid, cand=np.arange(3), rng_seed=0)
-        x, _ = mice_step(state, cands)
+        cands = CandidateSet(grid=grid, cand=np.arange(3))
+        x, _ = mice_step(model, cands, tau_bar)
         assert x[0] == pytest.approx(math.pi / 2)
 
     def test_exact_tie_breaks_to_lower_index(self):
         # Candidates at -c and +c around a single training point at 0 give
         # bitwise-equal scores; the lower grid index must win.
         spec = KernelSpec(nu=1.5, lam=0.5, sigma2=1.0, nugget=1e-8)
-        state = make_state([0.0], [1.0], spec)
+        model, tau_bar = make_model(spec, [0.0], [1.0])
         grid = np.array([[-0.5], [0.5]])
-        cands = CandidateSet(grid=grid, cand=np.arange(2), rng_seed=0)
-        x, _ = mice_step(state, cands)
+        cands = CandidateSet(grid=grid, cand=np.arange(2))
+        x, _ = mice_step(model, cands, tau_bar)
         assert x[0] == -0.5
 
     def test_exhausted_candidates(self):
         spec = KernelSpec(nu=2.5, lam=0.5, sigma2=1.0, nugget=1e-8)
-        state = make_state([0.0], [1.0], spec)
-        cands = CandidateSet(grid=np.array([[0.3]]), cand=np.array([], int), rng_seed=0)
+        model, tau_bar = make_model(spec, [0.0], [1.0])
+        cands = CandidateSet(grid=np.array([[0.3]]), cand=np.array([], int))
         with pytest.raises(CandidatesExhausted):
-            mice_step(state, cands)
+            mice_step(model, cands, tau_bar)
 
 
 class TestMiceRun:
     def test_target_equals_initial_size(self):
-        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=5, n_initial=3)
-        assert state.X.shape == (3, 1)
-        np.testing.assert_allclose(state.y, np.sin(state.X.ravel()))
+        model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=5, n_initial=3)
+        assert model.X.shape == (3, 1)
+        np.testing.assert_allclose(model.y, np.sin(model.X.ravel()))
 
     def test_coverage_improves_sup_power(self):
         small = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=9)
         big = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 10, nu=2.5, seed=9)
         probes = np.linspace(0.0, math.pi, 200)
-        assert power_batch(big.model, probes).max() < power_batch(small.model, probes).max()
+        assert power_batch(big, probes).max() < power_batch(small, probes).max()
 
     def test_deterministic(self):
         a = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 8, nu=2.5, seed=42)
         b = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 8, nu=2.5, seed=42)
         np.testing.assert_array_equal(a.X, b.X)
         np.testing.assert_array_equal(a.y, b.y)
-        assert a.model.spec == b.model.spec
+        assert a.spec == b.spec
 
     def test_points_distinct_and_on_grid(self):
-        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 12, nu=2.5, seed=3, n_grid=41)
-        pts = state.X.ravel()
+        model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 12, nu=2.5, seed=3, n_grid=41)
+        pts = model.X.ravel()
         assert len(np.unique(pts)) == 12
         grid = generate_grid((0.0, math.pi), 41, seed=0).grid.ravel()
         for p in pts:
             assert np.min(np.abs(grid - p)) < 1e-12
 
     def test_sup_power_monotone_under_frozen_hyperparameters(self):
-        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 12, nu=2.5, seed=21)
-        spec = state.model.spec
+        final = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 12, nu=2.5, seed=21)
+        spec = final.spec
         probes = np.linspace(0.0, math.pi, 300)
         values = []
         for k in range(3, 13):
-            model = GPModel.from_spec(state.X[:k], state.y[:k], spec)
+            model = GPModel.from_spec(final.X[:k], final.y[:k], spec)
             values.append(power_batch(model, probes).max())
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_fixed_spec_skips_refitting(self):
         spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-8)
-        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 9, nu=2.5, seed=2, spec=spec)
-        assert state.model.spec == spec
+        model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 9, nu=2.5, seed=2, spec=spec)
+        assert model.spec == spec
+
+    def test_returns_model_of_the_evaluated_design(self):
+        seen = []
+
+        def sim(x):
+            seen.append(x.copy())
+            return math.sin(3.0 * x[0])
+
+        model = mice_run(sim, (0.0, math.pi), 7, nu=2.5, seed=4)
+        assert isinstance(model, GPModel)
+        assert model.n == 7
+        np.testing.assert_array_equal(model.X, np.array(seen))
+        np.testing.assert_array_equal(model.y, [math.sin(3.0 * x[0]) for x in seen])
 
 
 class TestStabilizerValidation:
@@ -364,8 +375,8 @@ class TestStabilizerValidation:
         assert calls == []
 
     def test_zero_stabilizer_accepted(self):
-        state = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=0.0)
-        assert state.X.shape == (5, 1)
+        model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=0.0)
+        assert model.X.shape == (5, 1)
 
 
 class TestSimulatorFailures:
