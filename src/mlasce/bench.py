@@ -204,12 +204,11 @@ class Ar1Baseline:
     counts: tuple
 
     def predict_batch(self, X):
-        mean, var = posterior_batch(self.models[0], X)
+        """Recursive posterior means (the L2 error needs no variance)."""
+        mean = posterior_batch(self.models[0], X, var=False)[0]
         for rho, model in zip(self.rhos, self.models[1:]):
-            rm, rv = posterior_batch(model, X)
-            mean = rho * mean + rm
-            var = rho * rho * var + rv
-        return mean, var
+            mean = rho * mean + posterior_batch(model, X, var=False)[0]
+        return mean
 
 
 def nested_baseline_designs(suite, budget, seed):
@@ -293,12 +292,12 @@ def _run_cell(args):
             ladder = ladder_for(suite)
             nus = 2.5 if nu is None else nu
             em = mlasce_run(ladder, budget, nu=nus, seed=seed, n_grid=n_grid)
-            mean_fn = lambda xs: predict_batch(em, xs)[0]
+            mean_fn = lambda xs: predict_batch(em, xs, var=False)[0]
             counts = tuple(em.counts)
         elif method == "ar1_baseline":
             designs = nested_baseline_designs(suite, budget, seed)
             base = ar1_cokriging_fit(suite, designs)
-            mean_fn = lambda xs: base.predict_batch(xs)[0]
+            mean_fn = base.predict_batch
             counts = base.counts
         else:
             raise ValueError(f"unknown method {method!r}; available: {METHODS}")

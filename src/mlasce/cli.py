@@ -138,17 +138,17 @@ def resolve_simulator(entry):
 
 
 def _number(doc, key, default, kind):
-    """doc[key] (or default) converted by kind; ConfigError naming key if it
-    fails or overflows, if it is a boolean, or if an int key holds a
-    non-integral number."""
+    """doc[key] (or default) converted by kind; ConfigError naming key unless
+    it is an int or a float (a boolean or a numeric string is not), if it
+    overflows, or if an int key holds a non-integral number."""
     value = doc.get(key, default)
     try:
-        if isinstance(value, bool) or (
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             kind is int and isinstance(value, float) and not value.is_integer()
         ):
             raise ValueError
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key} must be {what}, got {value!r}") from None
 
@@ -201,7 +201,11 @@ class RunConfig:
                         accuracy=_number(entry, "accuracy", None, float),
                     )
                 )
-                self.nus.append(_number(entry, "nu", 2.5, float))
+                # "inf" (as artifacts write it) names the Gaussian limit.
+                nu = entry.get("nu")
+                self.nus.append(
+                    math.inf if nu == "inf" else _number(entry, "nu", 2.5, float)
+                )
             except (KeyError, TypeError, ConfigError) as exc:
                 raise ConfigError(f"level {i + 1}: {exc}") from None
             if self.nus[-1] not in SUPPORTED_NU:
@@ -333,7 +337,7 @@ def cmd_run(args):
     truth = config.truth_fn()
     if truth is not None:
         l2 = bench.l2_error(
-            lambda xs: predict_batch(emulator, xs)[0],
+            lambda xs: predict_batch(emulator, xs, var=False)[0],
             truth,
             (float(config.domain[0][0]), float(config.domain[1][0])),
         )

@@ -27,7 +27,7 @@ from .design import (
 )
 from .errors import BudgetError, SimulatorError
 from .gp import GPModel, _unit_residual_var, fit, posterior_batch, rkhs_norm_sq
-from .kernels import SUPPORTED_NU, check_nuggets
+from .kernels import SUPPORTED_NU, check_nuggets, corr_vector
 from .planner import check_ladder
 
 
@@ -171,7 +171,8 @@ def score(model_before, model_after, a_l, t_eff):
         raise ValueError("effective cost must be positive")
     if model_before is None:
         return rkhs_norm_sq(model_after) * a_l / t_eff
-    r, var = _unit_residual_var(model_before, model_after.X[-1:])
+    r = corr_vector(model_after.X[-1:], model_before.X, model_before.spec)
+    var = _unit_residual_var(model_before, r)
     mean = model_before.spec.sigma2 * (r @ model_before.alpha)
     resid = float(model_after.y[-1]) - float(mean[0])
     p = max(float(var[0]), 1e-12)
@@ -311,12 +312,13 @@ def mlasce_run(
     )
 
 
-def predict_batch(emulator, X):
-    """Sum of the independent per-level posteriors at many points."""
-    means, variances = posterior_batch(emulator.levels[0].model, X)
+def predict_batch(emulator, X, var=True):
+    """Sum of the independent per-level posteriors at many points;
+    var=False returns (means, None), as posterior_batch does."""
+    means, variances = posterior_batch(emulator.levels[0].model, X, var=var)
     for lv in emulator.levels[1:]:
-        m, v = posterior_batch(lv.model, X)
-        means, variances = means + m, variances + v
+        m, v = posterior_batch(lv.model, X, var=var)
+        means, variances = means + m, (variances + v if var else None)
     return means, variances
 
 

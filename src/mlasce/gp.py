@@ -203,28 +203,25 @@ def _as_queries(x, dim):
     return x
 
 
-def _unit_residual_var(model, Xq):
-    """Return (cross-correlation matrix, 1 - r^T R^{-1} r per query, >= 0)."""
-    r = corr_vector(Xq, model.X, model.spec)
+def _unit_residual_var(model, r):
+    """1 - r^T R^{-1} r per query (>= 0), r the cross-correlation matrix."""
     w = model.chol.solve_lower(r.T)
     resid = 1.0 - np.einsum("ij,ij->j", w, w)
-    return r, np.maximum(resid, 0.0)
+    return np.maximum(resid, 0.0)
 
 
-def posterior_batch(model, X):
-    """Posterior means and variances at many query points."""
-    Xq = _as_queries(X, model.dim)
-    r, resid = _unit_residual_var(model, Xq)
+def posterior_batch(model, X, var=True):
+    """Posterior means and variances at many query points; var=False skips
+    the variance's triangular solve and returns (means, None)."""
+    r = corr_vector(_as_queries(X, model.dim), model.X, model.spec)
     mean = model.spec.sigma2 * (r @ model.alpha)
-    var = model.spec.sigma2 * resid
-    return mean, var
+    return mean, (model.spec.sigma2 * _unit_residual_var(model, r) if var else None)
 
 
 def power_batch(model, X):
     """Unit-variance predictive variance (power function) at many points."""
-    Xq = _as_queries(X, model.dim)
-    _, resid = _unit_residual_var(model, Xq)
-    return resid
+    r = corr_vector(_as_queries(X, model.dim), model.X, model.spec)
+    return _unit_residual_var(model, r)
 
 
 def rkhs_norm_sq(model):

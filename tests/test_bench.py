@@ -9,6 +9,7 @@ import pytest
 from mlasce.bench import (
     TOY3,
     TOY5,
+    _run_cell,
     ar1_cokriging_fit,
     get_suite,
     l2_error,
@@ -22,6 +23,7 @@ from mlasce.bench import (
     xi5,
 )
 from mlasce.errors import InfeasibleError
+from mlasce.gp import posterior_batch
 from mlasce.kernels import KernelSpec, matern
 
 PI = math.pi
@@ -109,11 +111,20 @@ class TestAr1Baseline:
         base = ar1_cokriging_fit(TwoLevel, [designs[0], designs[1]])
         assert base.rhos[0] == pytest.approx(1.0, abs=1e-12)
         xs = np.linspace(0, PI, 50)
-        m2, _ = base.predict_batch(xs)
+        m2 = base.predict_batch(xs)
         m1, _ = __import__("mlasce.gp", fromlist=["posterior_batch"]).posterior_batch(
             base.models[0], xs
         )
         np.testing.assert_allclose(m2, m1, atol=1e-9)
+
+    def test_mean_is_bitwise_the_recursion_of_full_posterior_means(self):
+        base = ar1_cokriging_fit(TOY3, nested_baseline_designs(TOY3, 340.0, seed=2))
+        xs = np.linspace(0, PI, 1001)
+        expect = posterior_batch(base.models[0], xs)[0]
+        for rho, model in zip(base.rhos, base.models[1:]):
+            expect = rho * expect + posterior_batch(model, xs)[0]
+        got = base.predict_batch(xs)
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
     def test_rho_least_squares_oracle(self):
         class Doubling:
@@ -150,6 +161,24 @@ class TestAr1Baseline:
     def test_infeasible_budget_raises(self):
         with pytest.raises(InfeasibleError):
             nested_baseline_designs(TOY3, 100.0, seed=0)
+
+
+class TestRunCell:
+    # repr of each cell's L2 error as computed with the full posterior
+    # (means and variances): the mean-only path must reproduce every bit.
+    @pytest.mark.parametrize(
+        "suite,method,budget,nu,l2",
+        [
+            ("toy3", "mlasce", 340.0, None, 0.5767696823242955),
+            ("toy3", "ar1_baseline", 340.0, None, 0.1574765881886021),
+            ("toy5", "mlasce", 1150.0, (3.5, 2.5, 2.5, 1.5, 1.5), 0.05322000946217493),
+            ("toy5", "ar1_baseline", 1150.0, (3.5, 2.5, 2.5, 1.5, 1.5), 0.04447526419840915),
+        ],
+    )
+    def test_l2_reproduces_full_posterior_value(self, suite, method, budget, nu, l2):
+        result = _run_cell((suite, method, budget, 2, nu, 101))
+        assert result.status == "ok"
+        assert repr(result.l2) == repr(l2)
 
 
 class TestRunSuite:

@@ -134,6 +134,45 @@ class TestConfig:
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "level 2: accuracy must be a number" in capsys.readouterr().err
 
+    # "inf" is how artifacts write the Gaussian limit; json.dumps writes
+    # math.inf as the literal Infinity, which json.load also reads.
+    @pytest.mark.parametrize("nu", ["inf", math.inf], ids=["string", "literal"])
+    def test_infinite_nu_plans_and_runs(self, tmp_path, capsys, nu):
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][0]["nu"] = nu
+        cfg = write_config(tmp_path, doc)
+        assert load_config(cfg).nus == [math.inf, 2.5, 2.5]
+        assert main(["plan", "--config", cfg, "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["levels"][0]
+        assert row["nu"] == math.inf and row["n_numerical"] == 1.0
+        out = tmp_path / "run.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert "l2_error" in capsys.readouterr().out
+        assert load_artifact(str(out)).levels[0].model.spec.nu == math.inf
+
+    @pytest.mark.parametrize("command", ["run", "plan"])
+    @pytest.mark.parametrize(
+        "level,key,value,message",
+        [
+            (None, "budget", "240", "budget must be a number, got '240'"),
+            (None, "seed", "11", "seed must be an integer, got '11'"),
+            (1, "cost", "4", "level 1: cost must be a number, got '4'"),
+        ],
+        ids=["budget", "seed", "level-cost"],
+    )
+    def test_numeric_string_is_not_a_number(
+        self, tmp_path, capsys, monkeypatch, command, level, key, value, message
+    ):
+        calls = []
+        monkeypatch.setattr(
+            "mlasce.cli.resolve_simulator", lambda entry: lambda x: calls.append(x) or 0.0
+        )
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        (doc if level is None else doc["levels"][level - 1])[key] = value
+        assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["run", "plan"])
     @pytest.mark.parametrize(
         "domain", [[[0.0, 0.0], [1.0]], [1.0, 0.0], [0.0, math.inf]]

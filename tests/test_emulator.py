@@ -338,6 +338,21 @@ class TestPredict:
         np.testing.assert_allclose(mean, m1m + m2m, rtol=1e-13)
         np.testing.assert_allclose(var, m1v + m2v, rtol=1e-13)
 
+    def test_mean_only_is_bitwise_the_full_mean(self):
+        rng = np.random.default_rng(12)
+        models = [
+            GPModel.from_spec(X, np.sin((l + 1) * X), KernelSpec(nu, 0.8 / (l + 1), 1.0, 1e-8))
+            for l, (X, nu) in enumerate(
+                (rng.uniform(0, math.pi, n), nu) for n, nu in ((9, 3.5), (5, 2.5), (3, 0.5))
+            )
+        ]
+        em = MultilevelEmulator.from_models(models, DOMAIN)
+        xq = np.linspace(0, math.pi, 1001)
+        mean, var = predict_batch(em, xq)
+        mean_only, none = predict_batch(em, xq, var=False)
+        assert none is None and var is not None
+        assert np.array_equal(mean_only.view(np.int64), mean.view(np.int64))
+
     def test_interpolation_at_common_training_point(self):
         x0 = 1.0
         y_vals = [f1(np.array([x0])), f2(np.array([x0])) - f1(np.array([x0]))]

@@ -182,6 +182,17 @@ class TestPosterior:
         assert np.all(var >= 0.0)
         assert np.all(var <= spec.sigma2 * (1.0 + spec.nugget) + 1e-12)
 
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_mean_only_is_bitwise_the_full_mean(self, nu):
+        rng = np.random.default_rng(17)
+        X = rng.uniform(0.0, math.pi, size=(12, 1))
+        model = fit(X, np.sin(3.0 * X[:, 0]), nu=nu, nugget=1e-8)
+        xq = np.linspace(0.0, math.pi, 2001)
+        mean, var = posterior_batch(model, xq)
+        mean_only, none = posterior_batch(model, xq, var=False)
+        assert none is None and var is not None
+        assert np.array_equal(mean_only.view(np.int64), mean.view(np.int64))
+
 
 class TestPowerFunction:
     def test_zero_at_training_points(self):

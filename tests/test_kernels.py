@@ -22,6 +22,7 @@ from mlasce.kernels import (
     corr_matrix,
     cov_matrix,
     matern,
+    matern_corr,
 )
 
 
@@ -93,6 +94,55 @@ class TestMatern:
             KernelSpec(nu=2.5, lam=1.0, sigma2=-1.0)
         with pytest.raises(ValueError):
             KernelSpec(nu=2.5, lam=1.0, sigma2=1.0, nugget=-1e-9)
+
+
+def _distances():
+    rng = np.random.default_rng(31)
+    X = rng.uniform(0.0, 3.0, size=(12, 2))
+    D = np.linalg.norm(X[:, None] - X[None], axis=-1)
+    lams = np.exp(np.linspace(np.log(0.05), np.log(4.0), 7))
+    return {
+        "1-D": (np.r_[0.0, rng.uniform(0.0, 8.0, size=500)], 0.9),
+        "2-D": (D, 1.3),
+        "stack": (D, lams[..., None, None]),
+    }
+
+
+class TestMaternCorr:
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    @pytest.mark.parametrize("shape", list(_distances()))
+    def test_input_unchanged_and_result_fresh_and_writeable(self, nu, shape):
+        # gp.fit reuses one distance matrix for every lattice stack and Brent
+        # call, and gp._profile adds the nugget to the result's diagonal.
+        r, lam = _distances()[shape]
+        before = r.copy()
+        got = matern_corr(r, nu, lam)
+        assert np.array_equal(r, before)
+        assert not np.shares_memory(got, r)
+        assert got.flags.writeable and got.flags.owndata
+        if shape != "1-D":
+            idx = np.arange(r.shape[-1])
+            got[..., idx, idx] += 1e-8
+        assert np.array_equal(r, before)
+
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_stack_is_bitwise_one_call_per_lambda(self, nu):
+        # gp._profile evaluates a lattice of lambdas as one (K, n, n) stack.
+        D, lams = _distances()["stack"]
+        got = matern_corr(D, nu, lams)
+        for k, lam in enumerate(lams[:, 0, 0]):
+            want = matern_corr(D, nu, float(lam))
+            assert np.array_equal(got[k].view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("r", [0.83, np.array(0.83)], ids=["float", "0-d"])
+    def test_scalar_distance_gives_scalar(self, r):
+        got = matern_corr(r, 2.5, 0.6)
+        assert np.ndim(got) == 0
+        assert got == matern_corr(np.array([0.83]), 2.5, 0.6)[0]
+
+    def test_unsupported_nu_rejected(self):
+        with pytest.raises(ValueError, match="unsupported"):
+            matern_corr(np.ones(3), 2.0, 1.0)
 
 
 class TestCovMatrix:
