@@ -285,7 +285,7 @@ def cmd_plan(args):
                 "level": i + 1,
                 "h": float(params.h[i]),
                 "t": float(params.t[i]),
-                "nu": float(params.nu[i]),
+                "nu": "inf" if params.nu[i] == math.inf else float(params.nu[i]),
                 "n_numerical": float(numerical.n_runs[i]),
                 "n_closed_form": None if closed is None else float(closed.n_runs[i]),
                 "n_rounded": int(numerical.n_rounded[i]),
@@ -299,7 +299,7 @@ def cmd_plan(args):
         ) + "\n"
     else:
         lines = [",".join(rows[0])] + [
-            ",".join("" if v is None else repr(v) for v in r.values()) for r in rows
+            ",".join("" if v is None else str(v) for v in r.values()) for r in rows
         ]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
@@ -368,7 +368,7 @@ def cmd_predict(args):
                     f"{args.points}:{ln}: coordinates must be numbers, got {line!r}"
                 ) from None
             line_nos.append(ln)
-    X = np.asarray(points, dtype=float)
+    X = np.asarray(points, dtype=float).reshape(-1, d)
     bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
     if bad.size:
         raise ConfigError(f"{args.points}:{line_nos[bad[0]]}: coordinates must be finite")

@@ -3,6 +3,9 @@
 Only the half-integer smoothness values with closed forms (1/2, 3/2, 5/2,
 7/2) plus the Gaussian limit are supported; these avoid Bessel evaluation
 entirely and cover every configuration used elsewhere in the package.
+Cross-correlations are filled in row blocks of about _CROSS_ENTRIES
+entries, so the kernel's temporaries stay cache-sized; each entry is
+elementwise, so the result is bitwise matern_corr(cdist(Xq, X)).
 
 Single factorizations and triangular solves call LAPACK dpotrf and dtrtrs
 directly: the GP matrices are tiny (a few to a few dozen rows), so scipy's
@@ -31,6 +34,8 @@ _SQRT7 = math.sqrt(7.0)
 # Jitter escalation: floor for specs with zero nugget, absolute cap.
 _JITTER_FLOOR = 1e-12
 _JITTER_MAX = 1e-4
+# Entries per row block of corr_vector: 256 KB of float64.
+_CROSS_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,11 @@ def corr_vector(Xq, X, spec):
         raise ValueError(
             f"query dimension {Xq.shape[1]} != design dimension {X.shape[1]}"
         )
-    return matern_corr(cdist(Xq, X), spec.nu, spec.lam)
+    step = max(1, _CROSS_ENTRIES // max(1, len(X)))
+    out = np.empty((len(Xq), len(X)))
+    for i in range(0, len(Xq), step):
+        out[i:i + step] = matern_corr(cdist(Xq[i:i + step], X), spec.nu, spec.lam)
+    return out
 
 
 class CholeskyFactor:

@@ -20,7 +20,7 @@ from mlasce.cli import (
     load_config,
     main,
 )
-from mlasce.emulator import mlasce_run, predict_batch, score
+from mlasce.emulator import FidelityLadder, Level, mlasce_run, predict_batch, score
 from mlasce.errors import ConfigError, SimulatorError
 
 PI = math.pi
@@ -134,17 +134,24 @@ class TestConfig:
         assert main([command, "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
         assert "level 2: accuracy must be a number" in capsys.readouterr().err
 
-    # "inf" is how artifacts write the Gaussian limit; json.dumps writes
-    # math.inf as the literal Infinity, which json.load also reads.
+    # "inf" is how artifacts and plans write the Gaussian limit; json.dumps
+    # writes math.inf as the literal Infinity, which json.load also reads.
+    # The plan's JSON must be standard (no Infinity token); its CSV writes inf.
     @pytest.mark.parametrize("nu", ["inf", math.inf], ids=["string", "literal"])
     def test_infinite_nu_plans_and_runs(self, tmp_path, capsys, nu):
         doc = json.loads(json.dumps(TOY3_CONFIG))
         doc["levels"][0]["nu"] = nu
         cfg = write_config(tmp_path, doc)
         assert load_config(cfg).nus == [math.inf, 2.5, 2.5]
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
         assert main(["plan", "--config", cfg, "--format", "json"]) == 0
-        row = json.loads(capsys.readouterr().out)["levels"][0]
-        assert row["nu"] == math.inf and row["n_numerical"] == 1.0
+        row = json.loads(capsys.readouterr().out, parse_constant=reject)["levels"][0]
+        assert row["nu"] == "inf" and row["n_numerical"] == 1.0
+        assert main(["plan", "--config", cfg]) == 0
+        assert capsys.readouterr().out.split("\n")[1].split(",")[3] == "inf"
         out = tmp_path / "run.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert "l2_error" in capsys.readouterr().out
@@ -360,6 +367,28 @@ class TestPredictCommand:
             assert got_m == pytest.approx(m, abs=1e-12)
             assert got_s == pytest.approx(v, abs=1e-12)
 
+    def test_empty_points_file_on_2d_artifact(self, tmp_path, capsys):
+        # No points gives a header-only CSV at any dimension, not a
+        # dimension error.
+        ladder = FidelityLadder(
+            levels=(
+                Level(lambda x: math.sin(3 * x[0]) + x[1], cost=4.0, accuracy=1.0),
+                Level(lambda x: 0.1 * x[0] * x[1], cost=16.0, accuracy=0.5),
+            ),
+            domain=([0.0, 0.0], [1.0, 1.0]),
+        )
+        art = tmp_path / "model2d.json"
+        save_artifact(mlasce_run(ladder, 60.0, nu=2.5, seed=1, n_grid=30), art)
+        pts = tmp_path / "points.txt"
+        pts.write_text("# no points\n\n")
+        assert main(["predict", "--artifact", str(art), "--points", str(pts)]) == 0
+        assert capsys.readouterr().out == "x1,x2,mean,sd\n"
+        pts.write_text("0.25 0.75\n")
+        assert main(["predict", "--artifact", str(art), "--points", str(pts)]) == 0
+        mean, var = predict_batch(load_artifact(str(art)), np.array([[0.25, 0.75]]))
+        sd = math.sqrt(max(float(var[0]), 0.0))
+        row = capsys.readouterr().out.split("\n")[1]
+        assert row == f"0.25,0.75,{float(mean[0])!r},{sd!r}"
 
     @pytest.mark.parametrize("bad", ["abc", "0.5 abc", "1e-3x", "nan", "-inf"])
     def test_bad_coordinate_exits_2_with_location(self, tmp_path, capsys, bad):

@@ -6,6 +6,7 @@ checks on data generated from a known kernel.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -192,6 +193,23 @@ class TestPosterior:
         mean_only, none = posterior_batch(model, xq, var=False)
         assert none is None and var is not None
         assert np.array_equal(mean_only.view(np.int64), mean.view(np.int64))
+
+    def test_mean_only_peak_memory_is_one_cross_matrix(self):
+        # The L2 error's 10,001 x 74 cross-correlation is filled in
+        # cache-sized row blocks, so numpy's peak stays near that one matrix.
+        N, n = 10001, 74
+        X = np.sort(np.random.default_rng(23).uniform(0.0, math.pi, size=n))
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.0, nugget=1e-8)
+        model = GPModel.from_spec(X, np.sin(X), spec)
+        xq = np.linspace(0.0, math.pi, N)
+        posterior_batch(model, xq, var=False)
+        tracemalloc.start()
+        try:
+            posterior_batch(model, xq, var=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * N * n * 8
 
 
 class TestPowerFunction:

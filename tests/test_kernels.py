@@ -10,7 +10,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.distance import cdist
 
+from mlasce import kernels
 from mlasce.errors import FactorizationError
 from mlasce.gp import _profile
 from mlasce.kernels import (
@@ -20,6 +22,7 @@ from mlasce.kernels import (
     chol_factor,
     chol_stack,
     corr_matrix,
+    corr_vector,
     cov_matrix,
     matern,
     matern_corr,
@@ -143,6 +146,27 @@ class TestMaternCorr:
     def test_unsupported_nu_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
             matern_corr(np.ones(3), 2.0, 1.0)
+
+
+class TestCorrVector:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("n", [1, 74])
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_row_blocks_are_bitwise_one_call(self, nu, n, d):
+        # Rows are filled step = _CROSS_ENTRIES // n at a time. The query
+        # counts cover one pass, both sides of the one-to-two-pass edge and
+        # the L2 error's 10,001 points.
+        rng = np.random.default_rng(10 * n + d)
+        X = rng.uniform(0.0, 3.0, size=(n, d))
+        spec = KernelSpec(nu=nu, lam=0.7, sigma2=1.0)
+        step = kernels._CROSS_ENTRIES // n
+        for m in (0, 1, step - 1, step, step + 1, 10001):
+            Xq = rng.uniform(-0.5, 3.5, size=(m, d))
+            got = corr_vector(Xq, X, spec)
+            want = matern_corr(cdist(Xq, X), nu, spec.lam)
+            assert got.shape == (m, n)
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestCovMatrix:
