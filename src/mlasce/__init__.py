@@ -14,12 +14,10 @@ from .design import (
 )
 from .emulator import (
     FidelityLadder,
-    IncrementSimulator,
     Level,
     MultilevelEmulator,
     SurrogateNormWarning,
     error_bound,
-    increments,
     mlasce_run,
     predict_batch,
     score,
@@ -36,7 +34,6 @@ from .errors import (
 from .gp import (
     GPModel,
     fit,
-    log_marginal_likelihood,
     posterior_batch,
     rkhs_norm_sq,
 )
@@ -44,8 +41,6 @@ from .kernels import (
     SUPPORTED_NU,
     KernelSpec,
     chol_factor,
-    cov_matrix,
-    matern,
 )
 from .planner import (
     AllocationPlan,
@@ -64,7 +59,6 @@ __all__ = [
     "FactorizationError",
     "FidelityLadder",
     "GPModel",
-    "IncrementSimulator",
     "InfeasibleError",
     "KernelSpec",
     "Level",
@@ -77,14 +71,10 @@ __all__ = [
     "bound_term",
     "chol_factor",
     "closed_form_allocation",
-    "cov_matrix",
     "error_bound",
     "fit",
     "generate_grid",
-    "increments",
     "load_artifact",
-    "log_marginal_likelihood",
-    "matern",
     "mice_criterion",
     "mice_run",
     "mice_step",

@@ -81,6 +81,11 @@ def emulator_from_doc(doc):
                 nugget=float(entry["nugget"]),
             )
             model = GPModel.from_spec(entry["X"], entry["y"], spec)
+            if model.dim != lo.size:
+                raise ConfigError(
+                    f"level {entry['level']}: design dimension {model.dim} "
+                    f"!= domain dimension {lo.size}"
+                )
             levels.append(
                 LevelState(
                     level=int(entry["level"]),

@@ -237,8 +237,9 @@ def nested_baseline_designs(suite, budget, seed):
     return [d.reshape(-1, 1) for d in designs]
 
 
-def ar1_cokriging_fit(suite, nested_designs, nu=2.5, nugget=DEFAULT_TAU2):
-    """Fit the constant-rho auto-regressive baseline on nested designs."""
+def ar1_cokriging_fit(suite, nested_designs):
+    """Fit the constant-rho auto-regressive baseline on nested designs, with
+    nu = 5/2 and the default nugget at every level."""
     designs = [np.asarray(d, dtype=float).reshape(-1, 1) for d in nested_designs]
     for fine, coarse in zip(designs[1:], designs[:-1]):
         fine_set = set(map(float, fine.ravel()))
@@ -247,7 +248,7 @@ def ar1_cokriging_fit(suite, nested_designs, nu=2.5, nugget=DEFAULT_TAU2):
             raise ValueError("designs must be nested: X_l subset of X_{l-1}")
     domain = suite.domain
     ys = [suite.f(l + 1, designs[l].ravel()) for l in range(len(designs))]
-    models = [fit(designs[0], ys[0], nu=nu, nugget=nugget, domain=domain)]
+    models = [fit(designs[0], ys[0], nu=2.5, nugget=DEFAULT_TAU2, domain=domain)]
     rhos = []
     for l in range(1, len(designs)):
         y_here = ys[l]
@@ -255,7 +256,7 @@ def ar1_cokriging_fit(suite, nested_designs, nu=2.5, nugget=DEFAULT_TAU2):
         denom = float(y_prev @ y_prev)
         rho = float(y_prev @ y_here) / denom if denom > 0 else 0.0
         resid = y_here - rho * y_prev
-        models.append(fit(designs[l], resid, nu=nu, nugget=nugget, domain=domain))
+        models.append(fit(designs[l], resid, nu=2.5, nugget=DEFAULT_TAU2, domain=domain))
         rhos.append(rho)
     return Ar1Baseline(
         models=tuple(models),

@@ -1,4 +1,4 @@
-"""Multilevel emulation: increment simulators, the greedy budget loop,
+"""Multilevel emulation: the greedy budget loop over fidelity increments,
 prediction and error-bound reporting.
 
 Each fidelity increment gets its own GP; the loop repeatedly extends the
@@ -62,39 +62,10 @@ class FidelityLadder:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
-class IncrementSimulator:
-    """Evaluates delta_l = y_l - y_{l-1} (delta_1 = y_1) at t_l + t_{l-1} cost."""
-
-    level: int
-    eval: object
-    cost_per_eval: float
-
-
-def increments(ladder):
-    """Increment simulators for every level of the ladder."""
-    out = []
-    prev_cost = 0.0
-    prev_sim = None
-    for i, lv in enumerate(ladder.levels):
-        if prev_sim is None:
-            delta = lv.simulator
-        else:
-            delta = _difference(lv.simulator, prev_sim)
-        out.append(
-            IncrementSimulator(
-                level=i + 1, eval=delta, cost_per_eval=lv.cost + prev_cost
-            )
-        )
-        prev_cost = lv.cost
-        prev_sim = lv.simulator
-    return out
-
-
 def _difference(hi, lo):
-    def delta(x, _hi=hi, _lo=lo):
-        return float(np.asarray(_hi(x)).reshape(())) - float(
-            np.asarray(_lo(x)).reshape(())
+    def delta(x):
+        return float(np.asarray(hi(x)).reshape(())) - float(
+            np.asarray(lo(x)).reshape(())
         )
 
     return delta
@@ -141,15 +112,6 @@ class MultilevelEmulator:
     @property
     def counts(self):
         return [lv.model.n for lv in self.levels]
-
-    @classmethod
-    def from_models(cls, models, domain):
-        """Assemble an emulator directly from fitted per-level models."""
-        levels = [
-            LevelState(level=i + 1, model=m, cost_per_eval=1.0, weight=1.0)
-            for i, m in enumerate(models)
-        ]
-        return cls(levels=levels, domain=domain, budget=0.0, spent=0.0)
 
 
 def score(model_before, model_after, a_l, t_eff):
@@ -209,13 +171,16 @@ def mlasce_run(
     evaluate, refit, rescore, charge the ledger. The run is deterministic
     given the seed (an integer, or one integer per level).
     """
-    incs = increments(ladder)
     L = ladder.L
+    # Level l evaluates delta_l = y_l - y_{l-1} (delta_1 = y_1) at t_l + t_{l-1}.
+    sims = [lv.simulator for lv in ladder.levels]
+    deltas = sims[:1] + [_difference(hi, lo) for hi, lo in zip(sims[1:], sims)]
+    t = [0.0] + [lv.cost for lv in ladder.levels]
+    costs = [t[l + 1] + t[l] for l in range(L)]
     nus = list(np.broadcast_to(nu, (L,)).astype(float))
     for v in nus:
         if v not in SUPPORTED_NU:
             raise ValueError(f"unsupported smoothness {v!r}")
-    costs = [inc.cost_per_eval for inc in incs]
     weights = list(costs) if a is None else [float(w) for w in np.broadcast_to(a, (L,))]
     if not all(math.isfinite(w) and w > 0.0 for w in weights):
         raise ValueError(f"weights must be finite and positive, got {weights}")
@@ -245,7 +210,7 @@ def mlasce_run(
         # The one step for opening points and MICE picks; before is None on the first.
         nonlocal spent
         try:
-            d_val = _evaluate(incs[lv.level - 1].eval, x)
+            d_val = _evaluate(deltas[lv.level - 1], x)
         except SimulatorError as exc:
             exc.level = lv.level
             raise
@@ -266,12 +231,12 @@ def mlasce_run(
             )
         )
 
-    for i, inc in enumerate(incs):
+    for i in range(L):
         grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
         cands = generate_grid(ladder.domain, n_grid, grid_seed)
         start = int(np.random.default_rng(init_seed).integers(len(cands.grid)))
         lv = LevelState(
-            level=inc.level,
+            level=i + 1,
             model=None,
             cost_per_eval=costs[i],
             weight=weights[i],
@@ -341,8 +306,8 @@ def error_bound(emulator, X, norm_estimates=None):
     norms = [float(v) for v in norm_estimates]
     if len(norms) != emulator.L:
         raise ValueError(f"expected {emulator.L} norm estimates, got {len(norms)}")
-    if any(v < 0 for v in norms):
-        raise ValueError("norm estimates must be nonnegative")
+    if not all(math.isfinite(v) and v >= 0.0 for v in norms):
+        raise ValueError(f"norm estimates must be finite and nonnegative, got {norms}")
     total = 0.0
     for lv, nrm in zip(emulator.levels, norms):
         _, var = posterior_batch(lv.model, X)

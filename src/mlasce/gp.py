@@ -119,16 +119,6 @@ def _diameter(domain, dist):
     return float(dist.max())
 
 
-def log_marginal_likelihood(X, y, spec):
-    """Zero-mean Gaussian log likelihood of y under cov_matrix(X, spec)."""
-    X, y = _checked(X, y)
-    if spec.sigma2 <= 0.0:
-        raise ValueError("model construction requires sigma2 > 0")
-    _, quad, logdet = _profile(cdist(X, X), y, spec.nu, spec.lam, spec.nugget)
-    s2 = spec.sigma2
-    return -0.5 * float(quad / s2 + logdet + y.size * math.log(2.0 * math.pi * s2))
-
-
 def fit(X, y, nu, nugget=0.0, domain=None):
     """Maximum-likelihood GP fit with fixed nu and nugget.
 
@@ -216,12 +206,6 @@ def posterior_batch(model, X, var=True):
     r = corr_vector(_as_queries(X, model.dim), model.X, model.spec)
     mean = model.spec.sigma2 * (r @ model.alpha)
     return mean, (model.spec.sigma2 * _unit_residual_var(model, r) if var else None)
-
-
-def power_batch(model, X):
-    """Unit-variance predictive variance (power function) at many points."""
-    r = corr_vector(_as_queries(X, model.dim), model.X, model.spec)
-    return _unit_residual_var(model, r)
 
 
 def rkhs_norm_sq(model):

@@ -1,4 +1,4 @@
-"""Matern covariance kernels, covariance matrices and guarded Cholesky solves.
+"""Matern correlation kernels, cross-correlations and guarded Cholesky solves.
 
 Only the half-integer smoothness values with closed forms (1/2, 3/2, 5/2,
 7/2) plus the Gaussian limit are supported; these avoid Bessel evaluation
@@ -106,28 +106,6 @@ def matern_corr(r, nu, lam):
     raise ValueError(f"nu={nu!r} unsupported; choose one of {SUPPORTED_NU}")
 
 
-def matern(r, spec):
-    """Matern covariance sigma2 * corr(r) at distance(s) r >= 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("distances must be nonnegative")
-    return spec.sigma2 * matern_corr(r, spec.nu, spec.lam)
-
-
-def corr_matrix(X, spec):
-    """Correlation matrix over the rows of X with 1 + nugget on the diagonal."""
-    X = as_design(X)
-    R = matern_corr(cdist(X, X), spec.nu, spec.lam)
-    if spec.nugget:
-        R[np.diag_indices_from(R)] += spec.nugget
-    return R
-
-
-def cov_matrix(X, spec):
-    """Covariance matrix over the rows of X; diagonal is sigma2 * (1 + nugget)."""
-    return spec.sigma2 * corr_matrix(X, spec)
-
-
 def corr_vector(Xq, X, spec):
     """Cross-correlation matrix between query rows Xq and design rows X."""
     Xq, X = as_design(Xq), as_design(X)
@@ -181,11 +159,11 @@ def _trtrs(L, b, trans):
     return x
 
 
-def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
+def chol_factor(A, jitter0=0.0, overwrite_a=False):
     """Cholesky-factorize A, escalating diagonal jitter on failure.
 
     The first attempt adds nothing; subsequent attempts add
-    max(jitter0, 1e-12) * 10^k to the diagonal until max_jitter is exceeded.
+    max(jitter0, 1e-12) * 10^k to the diagonal until _JITTER_MAX is exceeded.
 
     With ``overwrite_a`` (the same name and meaning as in scipy.linalg) A
     must be a symmetric, Fortran-ordered float64 array: it is factorised
@@ -202,7 +180,6 @@ def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
         A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
     diag = np.diagonal(A).copy() if overwrite_a else None
     base = max(jitter0, _JITTER_FLOOR)
     extra = 0.0
@@ -214,7 +191,7 @@ def chol_factor(A, jitter0=0.0, max_jitter=_JITTER_MAX, overwrite_a=False):
         if L is not None:
             return CholeskyFactor(L, extra)
         extra = base * 10.0 if extra == 0.0 else extra * 10.0
-        if extra > max_jitter:
+        if extra > _JITTER_MAX:
             raise FactorizationError(
                 f"matrix not positive definite after jitter up to {extra:.3e}",
                 jitter=extra,

@@ -97,7 +97,6 @@ class AllocationPlan:
     n_runs: np.ndarray
     n_rounded: np.ndarray
     objective: float
-    method: str
 
 
 def bound_term(h_l, h_prev, alpha, nu, d, n):
@@ -282,7 +281,6 @@ def solve_allocation(params):
         n_runs=n,
         n_rounded=_round_counts(n, t, T),
         objective=allocation_objective(params, n),
-        method="numerical",
     )
 
 
@@ -310,7 +308,6 @@ def closed_form_allocation(params):
         n_runs=n,
         n_rounded=_round_counts(n, t, params.budget),
         objective=allocation_objective(params, np.maximum(n, 1.0)),
-        method="closed_form",
     )
 
 

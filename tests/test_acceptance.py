@@ -22,8 +22,8 @@ from mlasce.bench import (
 )
 from mlasce.design import CandidateSet, mice_run, mice_step
 from mlasce.emulator import mlasce_run, predict_batch
-from mlasce.gp import GPModel, posterior_batch, power_batch
-from mlasce.kernels import SUPPORTED_NU, KernelSpec, matern, matern_corr
+from mlasce.gp import GPModel, posterior_batch
+from mlasce.kernels import SUPPORTED_NU, KernelSpec, matern_corr
 from mlasce.planner import PlanParams, closed_form_allocation, solve_allocation
 
 PI = math.pi
@@ -46,11 +46,13 @@ def kernel_combination(spec, Z, a):
     """delta = sum a_j K(., z_j) and its exact squared norm a^T K(Z,Z) a."""
     Z = np.asarray(Z, dtype=float)
     a = np.asarray(a, dtype=float)
-    Kzz = np.array([[matern(abs(zi - zj), spec) for zj in Z] for zi in Z])
+    Kzz = np.array(
+        [[spec.sigma2 * matern_corr(abs(zi - zj), spec.nu, spec.lam) for zj in Z] for zi in Z]
+    )
 
     def delta(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return a @ np.array([matern(np.abs(x - z), spec) for z in Z])
+        return a @ np.array([spec.sigma2 * matern_corr(np.abs(x - z), spec.nu, spec.lam) for z in Z])
 
     return delta, float(a @ Kzz @ a)
 
@@ -62,7 +64,7 @@ def test_c1_kernel_identity():
     for center in (PI / 3, PI / 4, 3 * PI / 4):
         np.testing.assert_allclose(
             xi(x, center, 0.4),
-            matern(np.abs(x - center), spec),
+            spec.sigma2 * matern_corr(np.abs(x - center), spec.nu, spec.lam),
             atol=1e-12,
             rtol=0,
         )
@@ -89,7 +91,9 @@ def test_c2_gp_exactness():
         )
         Z = rng.uniform(0.0, PI, size=int(rng.integers(2, 7)))
         a = rng.normal(size=Z.size)
-        y = np.array([float(a @ matern(np.abs(x - Z), spec)) for x in X])
+        y = np.array(
+            [float(a @ (spec.sigma2 * matern_corr(np.abs(x - Z), spec.nu, spec.lam))) for x in X]
+        )
         model = GPModel.from_spec(X, y, spec)
         mean, var = posterior_batch(model, X)
         assert np.all(np.abs(mean - y) <= 1e-6 * (1.0 + np.abs(y)))
@@ -97,9 +101,9 @@ def test_c2_gp_exactness():
         _, pv = posterior_batch(model, probes)
         assert np.all(pv >= 0.0)
         assert np.all(pv <= spec.sigma2 * (1.0 + spec.nugget) + 1e-12)
-        pw = power_batch(model, probes)
+        pw = pv / spec.sigma2
         assert np.all(pw >= 0.0) and np.all(pw <= 1.0)
-        assert np.all(power_batch(model, X) <= 1e-6)
+        assert np.all(var / spec.sigma2 <= 1e-6)
     assert time.perf_counter() - t0 < 10.0
 
 

@@ -22,9 +22,11 @@ from mlasce.bench import (
     xi,
     xi5,
 )
+from mlasce.emulator import mlasce_run
 from mlasce.errors import InfeasibleError
 from mlasce.gp import posterior_batch
-from mlasce.kernels import KernelSpec, matern
+from mlasce.kernels import KernelSpec
+from oracles import matern
 
 PI = math.pi
 
@@ -206,10 +208,9 @@ class TestRunSuite:
         assert first[0] == "toy3" and first[1] == "ar1_baseline"
 
     def test_ladder_for_matches_cost_table(self):
-        from mlasce.emulator import increments
-
-        incs = increments(ladder_for(TOY5))
-        assert tuple(i.cost_per_eval for i in incs) == TOY5.increment_costs
+        budget = sum(TOY5.increment_costs)
+        em = mlasce_run(ladder_for(TOY5), budget=budget, nu=2.5, seed=0, n_grid=11)
+        assert tuple(lv.cost_per_eval for lv in em.levels) == TOY5.increment_costs
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

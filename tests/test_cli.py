@@ -468,6 +468,16 @@ class TestFileErrors:
         code, err = self.run_predict(capsys, art, pts)
         assert code == EXIT_CONFIG and str(art) in err and "no levels" in err
 
+    def test_level_dimension_differs_from_domain(self, tmp_path, capsys, small_artifact):
+        doc = json.loads(small_artifact.read_text())
+        doc["levels"][1]["X"] = [[x[0], 0.0] for x in doc["levels"][1]["X"]]
+        art, pts = tmp_path / "mixed.json", tmp_path / "points.txt"
+        art.write_text(json.dumps(doc))
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, art, pts)
+        assert code == EXIT_CONFIG and str(art) in err
+        assert "level 2: design dimension 2 != domain dimension 1" in err
+
 
 class TestExternalSimulator:
     def test_constant_stub(self):

@@ -24,8 +24,9 @@ from mlasce.design import (
     mice_step,
 )
 from mlasce.errors import CandidatesExhausted, FactorizationError
-from mlasce.gp import GPModel, posterior_batch, power_batch
+from mlasce.gp import GPModel, posterior_batch
 from mlasce.kernels import SUPPORTED_NU, CholeskyFactor, KernelSpec, matern_corr
+from oracles import power
 
 
 def brute_scores(model, points, tau2=1e-8, tau2_s=1.0):
@@ -303,7 +304,7 @@ class TestMiceRun:
         small = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=9)
         big = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 10, nu=2.5, seed=9)
         probes = np.linspace(0.0, math.pi, 200)
-        assert power_batch(big, probes).max() < power_batch(small, probes).max()
+        assert power(big, probes).max() < power(small, probes).max()
 
     def test_deterministic(self):
         a = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 8, nu=2.5, seed=42)
@@ -327,7 +328,7 @@ class TestMiceRun:
         values = []
         for k in range(3, 13):
             model = GPModel.from_spec(final.X[:k], final.y[:k], spec)
-            values.append(power_batch(model, probes).max())
+            values.append(power(model, probes).max())
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_fixed_spec_skips_refitting(self):

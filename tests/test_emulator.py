@@ -15,17 +15,16 @@ from mlasce import emulator
 from mlasce.emulator import (
     FidelityLadder,
     Level,
-    MultilevelEmulator,
     SurrogateNormWarning,
     error_bound,
-    increments,
     mlasce_run,
     predict_batch,
     score,
 )
 from mlasce.errors import BudgetError, SimulatorError
 from mlasce.gp import GPModel, fit, posterior_batch, rkhs_norm_sq
-from mlasce.kernels import KernelSpec, cov_matrix, matern
+from mlasce.kernels import KernelSpec
+from oracles import cov_matrix, emulator_of, kernel_combination, matern
 
 DOMAIN = (0.0, math.pi)
 
@@ -97,15 +96,17 @@ class TestLadder:
             )
 
     def test_increment_costs_follow_sum_convention(self):
-        incs = increments(toy_ladder())
-        assert [i.cost_per_eval for i in incs] == [4.0, 20.0, 80.0]
+        em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
+        assert [lv.cost_per_eval for lv in em.levels] == [4.0, 20.0, 80.0]
+        assert [e.cost for e in em.ledger] == [4.0, 20.0, 80.0]
 
     def test_increment_values(self):
-        incs = increments(toy_ladder())
-        x = np.array([1.1])
-        assert incs[0].eval(x) == pytest.approx(f1(x))
-        assert incs[1].eval(x) == pytest.approx(f2(x) - f1(x))
-        assert incs[2].eval(x) == pytest.approx(f3(x) - f2(x))
+        # The opening point of each level records delta_l = y_l - y_{l-1}.
+        em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
+        e1, e2, e3 = em.ledger
+        assert e1.delta == pytest.approx(f1(e1.x))
+        assert e2.delta == pytest.approx(f2(e2.x) - f1(e2.x))
+        assert e3.delta == pytest.approx(f3(e3.x) - f2(e3.x))
 
 
 class TestScore:
@@ -194,8 +195,7 @@ class TestMlasceRun:
         # dense oracle, and check the greedy chose the affordable argmax
         # (ties to the lowest level) at every iteration.
         em = mlasce_run(toy_ladder(), budget=300.0, nu=2.5, seed=5, n_grid=41)
-        incs = increments(toy_ladder())
-        costs = [i.cost_per_eval for i in incs]
+        costs = [4.0, 20.0, 80.0]  # t_l + t_{l-1}
         data = {lv: ([], []) for lv in (1, 2, 3)}
         models = {lv: None for lv in (1, 2, 3)}
         gammas = {lv: 0.0 for lv in (1, 2, 3)}
@@ -318,7 +318,7 @@ class TestPredict:
             np.linspace(0, math.pi, 6), np.sin(np.linspace(0, math.pi, 6)),
             nu=2.5, nugget=1e-8, domain=DOMAIN,
         )
-        em = MultilevelEmulator.from_models([model], DOMAIN)
+        em = emulator_of([model], DOMAIN)
         xq = np.array([0.3, 1.2, 2.9])
         mean, var = predict_batch(em, xq)
         q_mean, q_var = posterior_batch(model, xq)
@@ -330,7 +330,7 @@ class TestPredict:
         X1, X2 = rng.uniform(0, math.pi, 5), rng.uniform(0, math.pi, 4)
         m1 = GPModel.from_spec(X1, np.sin(X1), KernelSpec(2.5, 0.8, 1.0, 1e-8))
         m2 = GPModel.from_spec(X2, 0.1 * np.cos(X2), KernelSpec(1.5, 0.5, 0.2, 1e-8))
-        em = MultilevelEmulator.from_models([m1, m2], DOMAIN)
+        em = emulator_of([m1, m2], DOMAIN)
         xq = np.linspace(0, math.pi, 50)
         mean, var = predict_batch(em, xq)
         m1m, m1v = posterior_batch(m1, xq)
@@ -346,7 +346,7 @@ class TestPredict:
                 (rng.uniform(0, math.pi, n), nu) for n, nu in ((9, 3.5), (5, 2.5), (3, 0.5))
             )
         ]
-        em = MultilevelEmulator.from_models(models, DOMAIN)
+        em = emulator_of(models, DOMAIN)
         xq = np.linspace(0, math.pi, 1001)
         mean, var = predict_batch(em, xq)
         mean_only, none = predict_batch(em, xq, var=False)
@@ -360,7 +360,7 @@ class TestPredict:
             GPModel.from_spec([[x0]], [y_vals[0]], KernelSpec(2.5, 0.7, 1.0, 1e-10)),
             GPModel.from_spec([[x0]], [y_vals[1]], KernelSpec(2.5, 0.7, 1.0, 1e-10)),
         ]
-        em = MultilevelEmulator.from_models(models, DOMAIN)
+        em = emulator_of(models, DOMAIN)
         mean, var = predict_batch(em, [x0])
         assert mean[0] == pytest.approx(f2(np.array([x0])), rel=1e-8)
         assert var[0] < 1e-8
@@ -371,23 +371,15 @@ class TestErrorBound:
         spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=0.0)
         rng = np.random.default_rng(6)
         Z = rng.uniform(0.3, math.pi - 0.3, size=4)
-        a = rng.normal(size=4)
-        Kzz = np.array([[matern(abs(zi - zj), spec) for zj in Z] for zi in Z])
-        norm = math.sqrt(float(a @ Kzz @ a))
-
-        def delta(x):
-            return float(a @ matern(np.abs(np.asarray(x) - Z), spec))
-
+        delta, norm_sq = kernel_combination(spec, Z, rng.normal(size=4))
         X = np.sort(rng.uniform(0.0, math.pi, size=7))
-        y = np.array([delta(x) for x in X])
-        model = GPModel.from_spec(X, y, spec)
-        em = MultilevelEmulator.from_models([model], DOMAIN)
-        return em, delta, norm
+        model = GPModel.from_spec(X, delta(X), spec)
+        return emulator_of([model], DOMAIN), delta, math.sqrt(norm_sq)
 
     def test_dominates_true_error(self):
         em, delta, norm = self._known_norm_emulator()
         xq = np.linspace(0.0, math.pi, 250)
-        err = np.abs(predict_batch(em, xq)[0] - np.array([delta(x) for x in xq]))
+        err = np.abs(predict_batch(em, xq)[0] - delta(xq))
         bound = error_bound(em, xq, [norm])
         assert bound.shape == (250,)
         assert np.all(bound >= err - 1e-12)
@@ -414,6 +406,13 @@ class TestErrorBound:
         with pytest.raises(ValueError):
             error_bound(em, 1.0, [-1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_norm_rejected(self, bad):
+        em, _, _ = self._known_norm_emulator()
+        em = emulator_of([em.levels[0].model] * 2, DOMAIN)
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            error_bound(em, 1.0, [bad, 1.0])
+
 
 class TestPredictEdges:
     def test_far_point_recovers_prior(self):
@@ -425,7 +424,7 @@ class TestPredictEdges:
             GPModel.from_spec([[0.0]], [0.4], specs[0]),
             GPModel.from_spec([[0.1]], [0.2], specs[1]),
         ]
-        em = MultilevelEmulator.from_models(models, (0.0, 60.0))
+        em = emulator_of(models, (0.0, 60.0))
         mean, var = predict_batch(em, [50.0])
         assert abs(mean[0]) < 1e-12
         assert var[0] == pytest.approx(1.5 + 0.7, rel=1e-12)
