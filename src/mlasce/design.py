@@ -4,14 +4,21 @@ The selection criterion is the ratio of the current model's predictive
 variance at a candidate to its predictive variance under a GP conditioned
 on the remaining candidates with a stabilized nugget. The denominator for
 every candidate at once comes from the diagonal of the inverse candidate
-correlation matrix (the conditional variance of one Gaussian coordinate
-given the rest). Each step fills one Fortran-ordered candidate Gram,
-evaluating the kernel in column blocks once per pair, then factorises
-and inverts it in that same buffer: one Cholesky plus one triangular
-inverse, both in place. The Gram has a unit diagonal plus the stabilizer,
-so chol_factor's jitter escalation (up to 1e-4) factorises it; if it ever
-cannot, the FactorizationError propagates. mice_criterion is the
-per-candidate form of the same score, kept as a reference.
+correlation matrix A = R + tau_bar I (the conditional variance of one
+Gaussian coordinate given the rest). Each pick sorts the candidates by
+the numerator and fills one Fortran-ordered Gram in that order,
+evaluating the kernel in column blocks once per pair, then factorises it
+in that same buffer. The conditional variance is at least tau_bar, so
+num / (tau_bar sigma2) bounds a candidate's score from above and only a
+suffix of the sorted candidates can still win: the triangular inverse
+runs on L's trailing block alone (its column norms are the exact
+diagonal of A^-1 there), grown once if the best exact score leaves
+candidates outside it unpruned. This is lazy evaluation in the sense of
+Krause, Singh and Guestrin (JMLR 2008). The Gram has a unit diagonal
+plus the stabilizer, so chol_factor's jitter escalation (up to 1e-4)
+factorises it; if it ever cannot, the FactorizationError propagates.
+mice_scores is the unpruned score vector and mice_criterion the
+per-candidate form of the same score, kept as references.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ DEFAULT_TAU2_S = 1.0
 # Columns of the candidate Gram evaluated per kernel call: keeps the
 # kernel's temporaries at m x 32 floats instead of m^2 / 2.
 _GRAM_BLOCK = 32
+# Trailing block of the sorted candidates whose exact scores _select
+# computes first, and the relative margin that keeps a candidate whose
+# upper bound is within rounding of the best exact score.
+_SUFFIX0 = 64
+_PRUNE_MARGIN = 1e-9
 
 
 def domain_arrays(domain):
@@ -127,8 +139,7 @@ def mice_scores(model, points, tau_bar):
     The denominator for candidate i is sigma2 / [(R + tau I)^{-1}]_{ii},
     the conditional variance of coordinate i given all other candidates;
     this equals the per-candidate conditioning of mice_criterion exactly.
-    With R + tau I = L L^T that diagonal is the squared column norms of
-    L^{-1}, which LAPACK trtri writes over L.
+    It is _suffix_scores over the whole factor, unsorted and unpruned.
     """
     spec = model.spec
     pts = as_design(points)
@@ -136,20 +147,55 @@ def mice_scores(model, points, tau_bar):
     if len(pts) == 1:
         return num / (spec.sigma2 * (1.0 + tau_bar))
     fac = chol_factor(_corr_gram(pts, spec, tau_bar), jitter0=tau_bar, overwrite_a=True)
-    Linv, info = lapack.dtrtri(fac.lower, lower=1, overwrite_c=1)
+    return _suffix_scores(fac.lower, num, len(pts), spec.sigma2)
+
+
+def _suffix_scores(L, num, k, sigma2):
+    """Exact scores of the last k candidates from the lower factor L of A.
+
+    With A = L L^T the diagonal of A^{-1} is the squared column norms of
+    L^{-1}. For a lower-triangular L the trailing k x k block of L^{-1} is
+    the inverse of L's trailing block and holds every nonzero of its
+    columns, so LAPACK trtri on that block alone gives the exact diagonal
+    there (in place when k is the whole factor).
+    """
+    Linv, info = lapack.dtrtri(L[-k:, -k:], lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"triangular inverse failed (info={info})")
     inv_diag = np.einsum("ij,ij->j", Linv, Linv)
-    den = spec.sigma2 / inv_diag
-    return num / den
+    return num[-k:] / (sigma2 / inv_diag)
 
 
 def _select(model, cands, tau_bar):
-    """Criterion argmax over active candidates; returns (point, grid index)."""
+    """Criterion argmax over active candidates; returns (point, grid index).
+
+    The pick is that of _first_max over the full mice_scores vector, but
+    only the candidates whose upper bound num / (tau_bar sigma2) can reach
+    the best exact score get their exact score; the rest score -inf.
+    """
     active = cands.cand
     if active.size == 0:
         raise CandidatesExhausted("no candidate points left to select")
-    scores = mice_scores(model, cands.grid[active], tau_bar)
+    spec = model.spec
+    pts = cands.grid[active]
+    m = len(pts)
+    _, num = posterior_batch(model, pts)
+    order = np.argsort(num, kind="stable")
+    num = num[order]
+    fac = chol_factor(_corr_gram(pts[order], spec, tau_bar), jitter0=tau_bar, overwrite_a=True)
+    # tau_bar = 0 gives no bound: every candidate survives.
+    k = min(m, _SUFFIX0) if tau_bar > 0.0 else m
+    suffix = _suffix_scores(fac.lower, num, k, spec.sigma2)
+    if k < m:
+        # The best exact score can only rise as the block grows, so one
+        # growth covers every candidate whose bound can still reach it.
+        floor = float(np.max(suffix)) * (1.0 - _PRUNE_MARGIN) * tau_bar * spec.sigma2
+        first = int(np.searchsorted(num, floor, side="left"))
+        if first < m - k:
+            k = m - first
+            suffix = _suffix_scores(fac.lower, num, k, spec.sigma2)
+    scores = np.full(m, -np.inf)
+    scores[order[m - k:]] = suffix
     chosen = int(active[_first_max(scores)])
     return cands.grid[chosen].copy(), chosen
 

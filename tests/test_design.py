@@ -15,7 +15,10 @@ from mlasce import design
 from mlasce.design import (
     CandidateSet,
     _GRAM_BLOCK,
+    _PRUNE_MARGIN,
+    _SUFFIX0,
     _corr_gram,
+    _first_max,
     _select,
     generate_grid,
     mice_criterion,
@@ -257,6 +260,102 @@ class TestMiceScores:
             _select(model, cands, tau_bar)
         with pytest.raises(FactorizationError, match="info=3"):
             mice_step(model, cands, tau_bar)
+
+
+def spy_trtri(monkeypatch):
+    """Record the order of every block design hands to LAPACK trtri."""
+    sizes = []
+    real = design.lapack.dtrtri
+
+    def spy(c, lower=0, overwrite_c=0):
+        sizes.append(len(c))
+        return real(c, lower=lower, overwrite_c=overwrite_c)
+
+    monkeypatch.setattr(design.lapack, "dtrtri", spy)
+    return sizes
+
+
+class TestSelectPruning:
+    """_select inverts only the suffix of candidates, sorted by numerator,
+    whose upper bound num / (tau_bar sigma2) can reach the best exact score."""
+
+    @pytest.mark.parametrize("m", [2, _SUFFIX0 - 1, _SUFFIX0, _SUFFIX0 + 1, 300, 1500])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_pick_equals_full_scores(self, nu, d, m, monkeypatch):
+        spec = KernelSpec(nu=nu, lam=0.3, sigma2=1.7, nugget=1e-8)
+        model, tau_bar = make_model(spec)
+        if d == 1:
+            model = GPModel.from_spec(model.X[:, :1], model.y, spec)
+        grid = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, d))
+        full = mice_scores(model, grid, tau_bar)
+        sizes = spy_trtri(monkeypatch)
+        _, chosen = _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
+        assert chosen == _first_max(full)
+        # At most two inverses, and every candidate left out of the last
+        # one is certified: its bound is below the best score.
+        assert 1 <= len(sizes) <= 2 and sizes == sorted(sizes)
+        num = posterior_batch(model, grid)[1]
+        pruned = np.argsort(num, kind="stable")[: m - sizes[-1]]
+        bound = num[pruned] / (tau_bar * spec.sigma2)
+        assert np.all(bound < full.max() * (1.0 - _PRUNE_MARGIN) * (1.0 + 1e-12))
+
+    def test_indices_map_back_to_the_grid(self):
+        # Only some grid rows are active, in an order unrelated to num.
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.0, nugget=1e-8)
+        model, tau_bar = make_model(spec)
+        grid = np.random.default_rng(6).uniform(0.0, 1.0, size=(400, 2))
+        active = np.sort(np.random.default_rng(7).choice(400, size=250, replace=False))
+        x, chosen = _select(model, CandidateSet(grid=grid, cand=active), tau_bar)
+        assert chosen == active[_first_max(mice_scores(model, grid[active], tau_bar))]
+        np.testing.assert_array_equal(x, grid[chosen])
+
+    def test_zero_stabilizer_keeps_every_candidate(self, monkeypatch):
+        # tau_bar = 0 gives no bound: one inverse over all m, no division by 0.
+        spec = KernelSpec(nu=1.5, lam=0.2, sigma2=1.3, nugget=0.0)
+        model, tau_bar = make_model(spec, tau2=0.0, tau2_s=0.0)
+        assert tau_bar == 0.0
+        m = 150
+        grid = np.random.default_rng(9).uniform(0.0, 1.0, size=(m, 2))
+        with np.errstate(divide="raise", invalid="raise"):
+            full = mice_scores(model, grid, tau_bar)
+            sizes = spy_trtri(monkeypatch)
+            _, chosen = _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
+        assert sizes == [m]
+        assert chosen == _first_max(full)
+
+    def test_jittered_factor_scores_raised_stabilizer(self, monkeypatch):
+        # When chol_factor has to add jitter, _select ranks the candidates
+        # of the matrix it actually factorised: stabilizer tau_bar + extra.
+        extra = 0.25
+        real = design.chol_factor
+        calls = []
+
+        def jittered(A, jitter0=0.0, overwrite_a=False):
+            calls.append(len(A))
+            jA = A + extra * np.eye(len(A), order="F")
+            fac = real(jA, jitter0=jitter0, overwrite_a=overwrite_a)
+            return CholeskyFactor(fac.lower, extra)
+
+        spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
+        model, tau_bar = make_model(spec, tau2_s=0.5)
+        m = 2 * _SUFFIX0
+        grid = np.random.default_rng(8).uniform(0.0, 1.0, size=(m, 2))
+        oracle = brute_scores(model, grid, tau2_s=0.5 + extra)
+        monkeypatch.setattr(design, "chol_factor", jittered)
+        _, chosen = _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
+        assert calls == [m]
+        assert chosen == _first_max(oracle)
+
+    def test_pruning_runs_at_scale(self, monkeypatch):
+        # The design_2d size: without pruning trtri would see k = m.
+        m = 1500
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.7, nugget=1e-8)
+        model, tau_bar = make_model(spec)
+        grid = np.random.default_rng(15).uniform(0.0, 1.0, size=(m, 2))
+        sizes = spy_trtri(monkeypatch)
+        _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
+        assert 0 < max(sizes) < m / 2
 
 
 class TestMiceStep:

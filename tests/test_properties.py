@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mlasce import kernels
+from mlasce.design import mice_scores
 from mlasce.errors import FactorizationError
 from mlasce.gp import GPModel, posterior_batch
 from mlasce.kernels import SUPPORTED_NU, KernelSpec, chol_factor
@@ -98,3 +99,26 @@ def test_posterior_variance_within_prior(X, Xq, nu, lam, sigma2, nugget, seed):
     _, var = posterior_batch(model, np.vstack([Xq[:, :X.shape[1]], X]))
     assert np.all(var >= 0.0)
     assert np.all(var <= sigma2 * (1.0 + nugget))
+
+
+@PROPERTY
+@given(
+    cands=designs(max_n=24),
+    X=arrays(float, (4, 3), elements=unit),
+    nu=st.sampled_from(SUPPORTED_NU),
+    lam=st.floats(0.05, 5.0),
+    sigma2=st.floats(1e-3, 1e3),
+    tau_bar=st.floats(1e-2, 10.0),
+)
+def test_mice_scores_within_conditional_variance_bounds(cands, X, nu, lam, sigma2, tau_bar):
+    # The conditional variance of a candidate given the rest lies in
+    # [tau_bar, 1 + tau_bar] (times sigma2), so its score lies in
+    # [num / ((1 + tau_bar) sigma2), num / (tau_bar sigma2)]. design._select
+    # prunes candidates on the upper end.
+    X = X[:, :cands.shape[1]]
+    y = np.arange(len(X), dtype=float)
+    model = GPModel.from_spec(X, y, KernelSpec(nu=nu, lam=lam, sigma2=sigma2, nugget=1e-8))
+    num = posterior_batch(model, cands)[1]
+    scores = mice_scores(model, cands, tau_bar)
+    assert np.all(scores >= num / ((1.0 + tau_bar) * sigma2) * (1.0 - 1e-12))
+    assert np.all(scores <= num / (tau_bar * sigma2) * (1.0 + 1e-12))
