@@ -6,17 +6,18 @@ on the remaining candidates with a stabilized nugget. The denominator for
 every candidate at once comes from the diagonal of the inverse candidate
 correlation matrix A = R + tau_bar I (the conditional variance of one
 Gaussian coordinate given the rest). Each pick sorts the candidates by
-the numerator and fills one Fortran-ordered Gram in that order,
-evaluating the kernel in column blocks once per pair, then factorises it
-in that same buffer. The conditional variance is at least tau_bar, so
-num / (tau_bar sigma2) bounds a candidate's score from above and only a
-suffix of the sorted candidates can still win: the triangular inverse
-runs on L's trailing block alone (its column norms are the exact
-diagonal of A^-1 there), grown once if the best exact score leaves
-candidates outside it unpruned. This is lazy evaluation in the sense of
-Krause, Singh and Guestrin (JMLR 2008). The Gram has a unit diagonal
-plus the stabilizer, so chol_factor's jitter escalation (up to 1e-4)
-factorises it; if it ever cannot, the FactorizationError propagates.
+the numerator, fills the lower triangle of one Fortran-ordered Gram in
+that order (kernel column blocks, once per pair; nothing reads the upper
+triangle) and factorises it in that same buffer. The conditional
+variance is at least tau_bar, so num / (tau_bar sigma2) bounds a
+candidate's score from above and only a suffix of the sorted candidates
+can still win: the triangular inverse runs on L's trailing block alone
+(its column norms are the exact diagonal of A^-1 there), grown once if
+the best exact score leaves candidates outside it unpruned. This is lazy
+evaluation in the sense of Krause, Singh and Guestrin (JMLR 2008). The
+Gram has a unit diagonal plus the stabilizer, so chol_factor's jitter
+escalation (up to 1e-4, each retry on a rebuilt Gram) factorises it; if
+it ever cannot, the FactorizationError propagates.
 mice_scores is the unpruned score vector and mice_criterion the
 per-candidate form of the same score, kept as references.
 """
@@ -24,6 +25,7 @@ per-candidate form of the same score, kept as references.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -94,19 +96,25 @@ def generate_grid(domain, n_grid, seed):
 
 
 def _corr_gram(pts, spec, diag_add):
-    # One Fortran-ordered buffer that chol_factor and dtrtri then overwrite
-    # in place. Each column block is one kernel call on the pairs from the
-    # block down (once per pair, block-sized temporaries); its transpose
-    # fills the upper triangle. matern_corr(0) == 1 on the diagonal.
+    # The lower triangle (diagonal included) of one Fortran-ordered buffer
+    # that chol_factor and dtrtri then overwrite in place. Each column block
+    # is one kernel call on the pairs from the block down (once per pair,
+    # block-sized temporaries), whose C-ordered transpose is the block's
+    # Fortran slab; cdist is symmetric bitwise. No caller reads the strict
+    # upper triangle, so only the diagonal blocks write into it.
     m = len(pts)
     R = np.empty((m, m), order="F")
     for j0 in range(0, m, _GRAM_BLOCK):
         j1 = min(j0 + _GRAM_BLOCK, m)
-        block = matern_corr(cdist(pts[j0:], pts[j0:j1]), spec.nu, spec.lam)
-        R[j0:, j0:j1] = block
-        R[j0:j1, j0:] = block.T
+        R[j0:, j0:j1] = matern_corr(cdist(pts[j0:j1], pts[j0:]), spec.nu, spec.lam).T
     np.fill_diagonal(R, 1.0 + diag_add)
     return R
+
+
+def _chol_gram(pts, spec, tau_bar):
+    """chol_factor of _corr_gram in its own buffer, rebuilt on a jitter retry."""
+    gram = partial(_corr_gram, pts, spec, tau_bar)
+    return chol_factor(gram(), jitter0=tau_bar, refill=gram)
 
 
 def mice_criterion(model, x, cand_rest, tau_bar):
@@ -125,7 +133,7 @@ def mice_criterion(model, x, cand_rest, tau_bar):
         den = spec.sigma2 * (1.0 + tau_bar)
     else:
         rest = as_design(cand_rest)
-        fac = chol_factor(_corr_gram(rest, spec, tau_bar), jitter0=tau_bar)
+        fac = _chol_gram(rest, spec, tau_bar)
         r = corr_vector(xq, rest, spec)[0]
         w = fac.solve_lower(r)
         den = spec.sigma2 * ((1.0 + tau_bar) - float(w @ w))
@@ -146,7 +154,7 @@ def mice_scores(model, points, tau_bar):
     _, num = posterior_batch(model, pts)
     if len(pts) == 1:
         return num / (spec.sigma2 * (1.0 + tau_bar))
-    fac = chol_factor(_corr_gram(pts, spec, tau_bar), jitter0=tau_bar, overwrite_a=True)
+    fac = _chol_gram(pts, spec, tau_bar)
     return _suffix_scores(fac.lower, num, len(pts), spec.sigma2)
 
 
@@ -162,6 +170,9 @@ def _suffix_scores(L, num, k, sigma2):
     Linv, info = lapack.dtrtri(L[-k:, -k:], lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"triangular inverse failed (info={info})")
+    # trtri leaves the strict upper triangle as it was: zero it for the norms.
+    for j in range(1, k):
+        Linv[:j, j] = 0.0
     inv_diag = np.einsum("ij,ij->j", Linv, Linv)
     return num[-k:] / (sigma2 / inv_diag)
 
@@ -182,7 +193,7 @@ def _select(model, cands, tau_bar):
     _, num = posterior_batch(model, pts)
     order = np.argsort(num, kind="stable")
     num = num[order]
-    fac = chol_factor(_corr_gram(pts[order], spec, tau_bar), jitter0=tau_bar, overwrite_a=True)
+    fac = _chol_gram(pts[order], spec, tau_bar)
     # tau_bar = 0 gives no bound: every candidate survives.
     k = min(m, _SUFFIX0) if tau_bar > 0.0 else m
     suffix = _suffix_scores(fac.lower, num, k, spec.sigma2)
@@ -249,12 +260,15 @@ def mice_run(
     max(nugget, tau2_s). With ``spec`` given the hyperparameters stay
     fixed (no refitting); otherwise the correlation length and variance
     are re-estimated after every evaluation. Returns the final GPModel,
-    whose X and y are the evaluated design.
+    whose X and y are the evaluated design. An n_target above n_grid
+    raises CandidatesExhausted before any simulator call.
     """
     n_initial = min(n_initial, n_target)
     if n_initial < 1:
         raise ValueError("need at least one initial point")
     check_nuggets(nugget, tau2_s)
+    if n_target > n_grid:
+        raise CandidatesExhausted(f"n_target={n_target} exceeds n_grid={n_grid}")
     tau_bar = max(nugget, tau2_s)
     ss = np.random.SeedSequence(seed)
     grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))

@@ -159,36 +159,29 @@ def _trtrs(L, b, trans):
     return x
 
 
-def chol_factor(A, jitter0=0.0, overwrite_a=False):
+def chol_factor(A, jitter0=0.0, refill=None):
     """Cholesky-factorize A, escalating diagonal jitter on failure.
 
     The first attempt adds nothing; subsequent attempts add
     max(jitter0, 1e-12) * 10^k to the diagonal until _JITTER_MAX is exceeded.
 
-    With ``overwrite_a`` (the same name and meaning as in scipy.linalg) A
-    must be a symmetric, Fortran-ordered float64 array: it is factorised
-    in its own storage, which on return holds the factor with the strict
-    upper triangle zeroed. After a FactorizationError its contents are
-    unspecified.
+    With ``refill`` A must be a Fortran-ordered float64 array, of which
+    only the lower triangle is read: it is factorised in its own storage,
+    which on return holds the lower factor, the strict upper triangle left
+    as it was. A failed attempt has overwritten the lower triangle, so
+    each retry drops that buffer and factorises a fresh one from
+    ``refill()``. After a FactorizationError its contents are unspecified.
     """
-    if overwrite_a:
-        if not (
-            isinstance(A, np.ndarray) and A.dtype == np.float64 and A.flags.f_contiguous
-        ):
-            raise ValueError("overwrite_a needs a Fortran-ordered float64 array")
-    else:
-        A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    diag = np.diagonal(A).copy() if overwrite_a else None
+    A = _square(A, refill is not None)
     base = max(jitter0, _JITTER_FLOOR)
     extra = 0.0
     while True:
-        if overwrite_a:
-            L = _potrf_in_place(A, diag, extra)
+        if refill is None:
+            M = A if extra == 0.0 else A + extra * np.eye(A.shape[0])
+            L, info = lapack.dpotrf(M, lower=1, clean=1)
         else:
-            L = _potrf_copy(A, extra)
-        if L is not None:
+            L, info = lapack.dpotrf(A, lower=1, overwrite_a=1, clean=0)
+        if info == 0:
             return CholeskyFactor(L, extra)
         extra = base * 10.0 if extra == 0.0 else extra * 10.0
         if extra > _JITTER_MAX:
@@ -196,31 +189,24 @@ def chol_factor(A, jitter0=0.0, overwrite_a=False):
                 f"matrix not positive definite after jitter up to {extra:.3e}",
                 jitter=extra,
             )
+        if refill is not None:
+            L = A = None  # one matrix-sized buffer alive at a time
+            A = _square(refill(), True)
+            np.fill_diagonal(A, A.diagonal() + extra)
 
 
-def _potrf_copy(A, extra):
-    """Lower factor of A + extra I in new storage, or None if not positive definite."""
-    M = A if extra == 0.0 else A + extra * np.eye(A.shape[0])
-    L, info = lapack.dpotrf(M, lower=1, clean=1)
-    return None if info > 0 else L
-
-
-def _potrf_in_place(A, diag, extra):
-    """Lower factor of A + extra I written over A, or None if not positive definite."""
-    n = A.shape[0]
-    if extra != 0.0:
-        # A failed potrf wrote only the lower triangle; the strict upper
-        # one still holds the matrix, so mirror it back.
-        for j in range(n):
-            A[j + 1:, j] = A[j, j + 1:]
-        np.fill_diagonal(A, diag + extra)
-    L, info = lapack.dpotrf(A, lower=1, overwrite_a=1, clean=0)
-    if info != 0:
-        return None
-    # Column by column: no index or mask arrays the size of A.
-    for j in range(1, n):
-        A[:j, j] = 0.0
-    return L
+def _square(A, in_place):
+    """A as a square float64 matrix; in place, it must already be one in Fortran order."""
+    if in_place:
+        if not (
+            isinstance(A, np.ndarray) and A.dtype == np.float64 and A.flags.f_contiguous
+        ):
+            raise ValueError("in-place factorisation needs a Fortran-ordered float64 array")
+    else:
+        A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A
 
 
 def chol_stack(A):

@@ -5,6 +5,7 @@ rebuilds every numerator and denominator with plain dense numpy algebra.
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -61,13 +62,14 @@ def brute_scores(model, points, tau2=1e-8, tau2_s=1.0):
 
 
 def assert_gram_is_dense(pts, nu):
-    """_corr_gram is Fortran-ordered and bitwise equal to the dense cdist Gram."""
+    """_corr_gram is Fortran-ordered and its lower triangle, the only part
+    any caller reads, is bitwise that of the dense cdist Gram."""
     spec = KernelSpec(nu=nu, lam=0.35, sigma2=1.0)
     dense = matern_corr(cdist(pts, pts), nu, spec.lam)
     dense[np.diag_indices_from(dense)] += 0.3
     R = _corr_gram(pts, spec, 0.3)
     assert R.flags.f_contiguous
-    assert np.array_equal(R, dense)
+    assert np.array_equal(np.tril(R), np.tril(dense))
 
 
 def make_model(spec, X=None, y=None, tau2=1e-8, tau2_s=1.0):
@@ -182,11 +184,10 @@ class TestMiceScores:
         extra = 0.25
         real = design.chol_factor
 
-        def jittered(A, jitter0=0.0, overwrite_a=False):
-            # A Fortran-ordered identity keeps the sum Fortran-ordered, as
-            # the in-place path requires.
-            jA = A + extra * np.eye(len(A), order="F")
-            fac = real(jA, jitter0=jitter0, overwrite_a=overwrite_a)
+        def jittered(A, jitter0=0.0, refill=None):
+            # Only the diagonal changes: the Gram's upper triangle is not set.
+            A[np.diag_indices_from(A)] += extra
+            fac = real(A, jitter0=jitter0, refill=refill)
             return CholeskyFactor(fac.lower, extra)
 
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
@@ -331,10 +332,10 @@ class TestSelectPruning:
         real = design.chol_factor
         calls = []
 
-        def jittered(A, jitter0=0.0, overwrite_a=False):
+        def jittered(A, jitter0=0.0, refill=None):
             calls.append(len(A))
-            jA = A + extra * np.eye(len(A), order="F")
-            fac = real(jA, jitter0=jitter0, overwrite_a=overwrite_a)
+            A[np.diag_indices_from(A)] += extra
+            fac = real(A, jitter0=jitter0, refill=refill)
             return CholeskyFactor(fac.lower, extra)
 
         spec = KernelSpec(nu=2.5, lam=0.4, sigma2=1.3, nugget=1e-8)
@@ -356,6 +357,116 @@ class TestSelectPruning:
         sizes = spy_trtri(monkeypatch)
         _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
         assert 0 < max(sizes) < m / 2
+
+
+class TestLowerTriangleOnly:
+    """The candidate Gram's strict upper triangle is never read or zeroed:
+    chol_factor factorises the lower triangle in place and a jitter retry
+    rebuilds it."""
+
+    @pytest.mark.parametrize("tau2_s", [0.0, 1.0])
+    @pytest.mark.parametrize("m", [_SUFFIX0 - 1, _SUFFIX0, _SUFFIX0 + 1, 300])
+    def test_nan_upper_triangle_changes_nothing(self, m, tau2_s, monkeypatch):
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.7, nugget=0.0)
+        model, tau_bar = make_model(spec, tau2=0.0, tau2_s=tau2_s)
+        assert tau_bar == tau2_s
+        grid = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 2))
+        cands = CandidateSet(grid=grid, cand=np.arange(m))
+        want_pick = _select(model, cands, tau_bar)[1]
+        want_scores = mice_scores(model, grid, tau_bar)
+        real = design._corr_gram
+
+        def poisoned(pts, spec, diag_add):
+            R = real(pts, spec, diag_add)
+            R[np.triu_indices_from(R, 1)] = np.nan
+            return R
+
+        monkeypatch.setattr(design, "_corr_gram", poisoned)
+        assert _select(model, cands, tau_bar)[1] == want_pick
+        assert np.array_equal(mice_scores(model, grid, tau_bar), want_scores)
+
+    def test_jitter_retry_rebuilds_the_gram(self, monkeypatch):
+        # nugget 0, tau2_s 0 and nu = inf on 41 points of [0, pi]: the Gram
+        # is numerically singular, so every pick needs jitter 1e-11 and
+        # builds the Gram twice, factorising the second build.
+        builds, factors = [], []
+        real_gram, real_chol = design._corr_gram, design.chol_factor
+
+        def gram(pts, spec, diag_add):
+            builds.append((pts.copy(), spec, diag_add))
+            return real_gram(pts, spec, diag_add)
+
+        def chol(A, jitter0=0.0, refill=None):
+            fac = real_chol(A, jitter0=jitter0, refill=refill)
+            # dtrtri then overwrites the factor in place.
+            factors.append((np.tril(fac.lower), fac.jitter))
+            return fac
+
+        monkeypatch.setattr(design, "_corr_gram", gram)
+        monkeypatch.setattr(design, "chol_factor", chol)
+        mice_run(
+            lambda x: math.sin(x[0]), (0.0, math.pi), 6, nu=math.inf,
+            seed=2, nugget=0.0, tau2_s=0.0, n_grid=41,
+        )
+        monkeypatch.undo()
+        assert len(factors) == 3 and len(builds) == 6
+        for (pts, spec, tau_bar), second, (lower, jitter) in zip(
+            builds[::2], builds[1::2], factors
+        ):
+            assert np.array_equal(second[0], pts) and second[1:] == (spec, tau_bar)
+            R = _corr_gram(pts, spec, tau_bar)
+            dense = np.tril(R) + np.tril(R, -1).T
+            ref = design.chol_factor(dense, jitter0=tau_bar)
+            assert jitter == ref.jitter == 1e-11
+            assert np.array_equal(lower, ref.lower)
+
+    def test_peak_memory_of_select_is_one_gram(self):
+        # The design_2d size, pruned: the kernel runs on column blocks and
+        # only the trailing block is inverted, so numpy's peak stays near
+        # one m x m array.
+        m = 1500
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.7, nugget=1e-8)
+        model, tau_bar = make_model(spec)
+        cands = CandidateSet(
+            grid=np.random.default_rng(15).uniform(0.0, 1.0, size=(m, 2)), cand=np.arange(m)
+        )
+        tracemalloc.start()
+        try:
+            _select(model, cands, tau_bar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * m * m * 8
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="before 3.11 a caller keeps its call arguments alive until the call returns",
+    )
+    def test_peak_memory_of_a_retry_is_one_gram(self, monkeypatch):
+        # The failed buffer is dropped before the rebuild.
+        m = 600
+        spec = KernelSpec(nu=math.inf, lam=4.0, sigma2=6.0, nugget=0.0)
+        model = GPModel.from_spec(np.array([[0.3], [1.5], [2.9]]), np.zeros(3), spec)
+        cands = CandidateSet(grid=np.linspace(0.0, math.pi, m)[:, None], cand=np.arange(m))
+        jitters = []
+        real = design.chol_factor
+
+        def chol(A, jitter0=0.0, refill=None):
+            fac = real(A, jitter0=jitter0, refill=refill)
+            jitters.append(fac.jitter)
+            return fac
+
+        monkeypatch.setattr(design, "chol_factor", chol)
+        _select(model, cands, 0.0)
+        monkeypatch.undo()
+        assert jitters == [1e-11]
+        tracemalloc.start()
+        try:
+            _select(model, cands, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.7 * m * m * 8
 
 
 class TestMiceStep:
@@ -394,6 +505,17 @@ class TestMiceStep:
 
 
 class TestMiceRun:
+    def test_target_beyond_grid_fails_before_any_evaluation(self):
+        calls = []
+
+        def spy(x):
+            calls.append(x)
+            return 0.0
+
+        with pytest.raises(CandidatesExhausted, match="n_target=10 exceeds n_grid=5"):
+            mice_run(spy, (0.0, math.pi), 10, nu=2.5, n_grid=5)
+        assert calls == []
+
     def test_target_equals_initial_size(self):
         model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 3, nu=2.5, seed=5, n_initial=3)
         assert model.X.shape == (3, 1)

@@ -272,14 +272,38 @@ class TestCholFactorInPlace:
     # shift -1e-3 factorises as given; 0 needs one escalation, 5e-10 three.
     @pytest.mark.parametrize("shift", [-1e-3, 0.0, 5e-10])
     def test_bitwise_equal_to_copying_path(self, shift):
+        retries = {-1e-3: 0, 0.0: 1, 5e-10: 3}[shift]
         R = near_duplicate_gram(shift)
         ref = chol_factor(R, jitter0=1e-14)
-        A = np.asfortranarray(R)
-        fac = chol_factor(A, jitter0=1e-14, overwrite_a=True)
+        built = [np.array(R, order="F")]
+
+        def refill():
+            built.append(np.array(R, order="F"))
+            return built[-1]
+
+        fac = chol_factor(built[0], jitter0=1e-14, refill=refill)
         assert (ref.jitter > 0.0) == (shift >= 0.0)
         assert fac.jitter == ref.jitter
-        assert np.shares_memory(fac.lower, A)
-        assert np.array_equal(fac.lower, ref.lower)
+        # Each retry factorises a fresh buffer; the last one holds L.
+        assert len(built) == 1 + retries
+        assert np.shares_memory(fac.lower, built[-1])
+        assert np.array_equal(np.tril(fac.lower), ref.lower)
+        # The strict upper triangle is neither read nor written.
+        assert np.array_equal(np.triu(fac.lower, 1), np.triu(R, 1))
+
+    def test_reads_only_the_lower_triangle(self):
+        R = near_duplicate_gram(5e-10)
+        ref = chol_factor(R, jitter0=1e-14)
+
+        def refill():
+            A = np.array(R, order="F")
+            A[np.triu_indices_from(A, 1)] = np.nan
+            return A
+
+        fac = chol_factor(refill(), jitter0=1e-14, refill=refill)
+        assert fac.jitter == ref.jitter > 0.0
+        assert np.array_equal(np.tril(fac.lower), ref.lower)
+        assert np.isnan(fac.lower[np.triu_indices_from(R, 1)]).all()
 
     @pytest.mark.parametrize(
         "A, max_jitter",
@@ -290,7 +314,7 @@ class TestCholFactorInPlace:
         with pytest.raises(FactorizationError) as ref:
             chol_factor(A)
         with pytest.raises(FactorizationError) as got:
-            chol_factor(np.asfortranarray(A), overwrite_a=True)
+            chol_factor(np.array(A, order="F"), refill=lambda: np.array(A, order="F"))
         assert got.value.jitter == ref.value.jitter
         assert str(got.value) == str(ref.value)
 
@@ -299,7 +323,7 @@ class TestCholFactorInPlace:
     )
     def test_rejects_non_fortran_float64(self, A):
         with pytest.raises(ValueError, match="Fortran-ordered float64"):
-            chol_factor(A, overwrite_a=True)
+            chol_factor(A, refill=lambda: A)
 
 
 class TestCholStack:
