@@ -121,9 +121,11 @@ def emulator_from_doc(doc):
 
 
 def save_artifact(emulator, path):
+    # Serialise before opening, so a document that cannot be written
+    # leaves no truncated file behind.
+    text = json.dumps(emulator_to_doc(emulator), sort_keys=True, indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(emulator_to_doc(emulator), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_artifact(path):

@@ -1,11 +1,13 @@
 """Multilevel emulation: the greedy budget loop over fidelity increments,
 prediction and error-bound reporting.
 
-Each fidelity increment gets its own GP; the loop repeatedly extends the
-level whose latest extension score (see ``score``) is largest among the
-levels still affordable, with a breadth-first exploration floor early in
-the budget. Only the extended level's score changes between iterations,
-so the others stay cached.
+Each fidelity increment gets its own GP. ``mlasce_run`` builds the
+``MultilevelEmulator`` first and grows it as the run state: ``_pick``
+chooses the level whose latest extension score (see ``score``) is largest
+among the levels still affordable, with a breadth-first exploration floor
+early in the budget, and ``_extend`` refits that level on the new point,
+rescores it and charges the ledger. Only the extended level's score
+changes between iterations, so the others stay cached.
 """
 
 from __future__ import annotations
@@ -150,6 +152,49 @@ EXPLORE_POINTS = 3
 EXPLORE_BUDGET_FRACTION = 0.5
 
 
+def _pick(em):
+    """The level to extend next, or None when the run is over.
+
+    The effective-score argmax (ties to the lowest level) among levels
+    that are affordable within 1e-9 and still have candidates.
+    """
+    remaining = em.budget - em.spent
+    open_levels = [
+        lv
+        for lv in em.levels
+        if lv.cost_per_eval <= remaining + 1e-9 and lv.cands.cand.size > 0
+    ]
+    if not open_levels:
+        return None
+    exploring = em.spent < EXPLORE_BUDGET_FRACTION * em.budget
+    effective = [
+        max(lv.gamma, (lv.weight / lv.cost_per_eval) / lv.model.n)
+        if exploring and lv.model.n < EXPLORE_POINTS
+        else lv.gamma
+        for lv in open_levels
+    ]
+    return open_levels[_first_max(effective)]
+
+
+def _extend(em, lv, x, chosen, value, nu, nugget, iteration):
+    """The one run step, for opening points and MICE picks alike.
+
+    Refits level lv on its design plus (x, value), rescores it (before is
+    None for the opening point), drops candidate ``chosen`` and charges the
+    budget and the ledger of em.
+    """
+    before = lv.model
+    X = x.reshape(1, -1) if before is None else np.vstack([before.X, x])
+    y = np.append([] if before is None else before.y, value)
+    lv.model = fit(X, y, nu, nugget=nugget, domain=em.domain)
+    lv.gamma = score(before, lv.model, lv.weight, lv.cost_per_eval)
+    lv.cands = lv.cands.without(chosen)
+    em.spent += lv.cost_per_eval
+    em.ledger.append(
+        LedgerEntry(iteration, lv.level, tuple(x.tolist()), value, lv.cost_per_eval)
+    )
+
+
 def mlasce_run(
     ladder,
     budget,
@@ -164,12 +209,11 @@ def mlasce_run(
 
     nu may be a single smoothness or one per level; a defaults to each
     increment's cost (so the default score is the undamped extension
-    score). Levels are extended by the effective-score argmax among those
-    still affordable (ties to the lowest level), where the effective score
-    adds the breadth-first exploration floor described above. A level's
-    random opening point and each later MICE pick take the same step:
-    evaluate, refit, rescore, charge the ledger. The run is deterministic
-    given the seed (an integer, or one integer per level).
+    score). The returned emulator is the run state: each level's random
+    opening point, then each ``_pick``ed level's MICE point, is evaluated
+    and handed to ``_extend``, which refits, rescores and charges the
+    ledger. The run is deterministic given the seed (an integer, or one
+    integer per level).
     """
     L = ladder.L
     # Level l evaluates delta_l = y_l - y_{l-1} (delta_1 = y_1) at t_l + t_{l-1}.
@@ -195,86 +239,38 @@ def mlasce_run(
         )
 
     # seed may be a single integer (per-level streams are spawned from it)
-    # or one integer per level.
+    # or one integer per level; it is kept as plain ints for the artifact.
     if np.ndim(seed) == 0:
-        children = np.random.SeedSequence(int(seed)).spawn(L)
+        seed = int(seed)
+        children = np.random.SeedSequence(seed).spawn(L)
     else:
-        children = [np.random.SeedSequence(int(s)) for s in seed]
+        seed = [int(s) for s in seed]
+        children = [np.random.SeedSequence(s) for s in seed]
         if len(children) != L:
             raise ValueError(f"expected {L} per-level seeds, got {len(children)}")
-    levels = []
-    ledger = []
-    spent = 0.0
-
-    def extend(lv, x, chosen, iteration):
-        # The one step for opening points and MICE picks; before is None on the first.
-        nonlocal spent
-        try:
-            d_val = _evaluate(deltas[lv.level - 1], x)
-        except SimulatorError as exc:
-            exc.level = lv.level
-            raise
-        before = lv.model
-        X = x.reshape(1, -1) if before is None else np.vstack([before.X, x])
-        y = np.append([] if before is None else before.y, d_val)
-        lv.model = fit(X, y, nus[lv.level - 1], nugget=nugget, domain=ladder.domain)
-        lv.gamma = score(before, lv.model, lv.weight, lv.cost_per_eval)
-        lv.cands = lv.cands.without(chosen)
-        spent += lv.cost_per_eval
-        ledger.append(
-            LedgerEntry(
-                iteration=iteration,
-                level=lv.level,
-                x=tuple(x.tolist()),
-                delta=d_val,
-                cost=lv.cost_per_eval,
-            )
-        )
-
-    for i in range(L):
-        grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
-        cands = generate_grid(ladder.domain, n_grid, grid_seed)
-        start = int(np.random.default_rng(init_seed).integers(len(cands.grid)))
-        lv = LevelState(
-            level=i + 1,
-            model=None,
-            cost_per_eval=costs[i],
-            weight=weights[i],
-            cands=cands,
-        )
-        levels.append(lv)
-        extend(lv, cands.grid[start].copy(), start, iteration=0)
-
-    def effective(lv):
-        if lv.model.n < EXPLORE_POINTS and spent < EXPLORE_BUDGET_FRACTION * budget:
-            floor = (lv.weight / lv.cost_per_eval) / lv.model.n
-            return max(lv.gamma, floor)
-        return lv.gamma
-
-    iteration = 0
-    while True:
-        remaining = budget - spent
-        affordable = [
-            i
-            for i, lv in enumerate(levels)
-            if lv.cost_per_eval <= remaining + 1e-9 and lv.cands.cand.size > 0
-        ]
-        if not affordable:
-            break
-        pick = affordable[_first_max([effective(levels[i]) for i in affordable])]
-        iteration += 1
-        lv = levels[pick]
-        x, chosen = _select(lv.model, lv.cands, tau_bar)
-        extend(lv, x, chosen, iteration)
-
-    return MultilevelEmulator(
-        levels=levels,
-        domain=ladder.domain,
-        budget=float(budget),
-        spent=spent,
-        ledger=ledger,
-        seed=seed,
+    em = MultilevelEmulator(
+        levels=[], domain=ladder.domain, budget=float(budget), spent=0.0, seed=seed
     )
+    try:
+        for i in range(L):
+            grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
+            cands = generate_grid(ladder.domain, n_grid, grid_seed)
+            start = int(np.random.default_rng(init_seed).integers(len(cands.grid)))
+            lv = LevelState(i + 1, None, costs[i], weights[i], cands=cands)
+            em.levels.append(lv)
+            x = cands.grid[start].copy()
+            _extend(em, lv, x, start, _evaluate(deltas[i], x), nus[i], nugget, 0)
+        iteration = 0
+        while (lv := _pick(em)) is not None:
+            iteration += 1
+            x, chosen = _select(lv.model, lv.cands, tau_bar)
+            value = _evaluate(deltas[lv.level - 1], x)
+            _extend(em, lv, x, chosen, value, nus[lv.level - 1], nugget, iteration)
+    except SimulatorError as exc:
+        # Only _evaluate raises it, for the level lv being extended.
+        exc.level = lv.level
+        raise
+    return em
 
 
 def predict_batch(emulator, X, var=True):

@@ -624,13 +624,21 @@ class TestBenchCommand:
 
 
 class TestArtifactReplayAudit:
-    def test_cli_artifact_ledger_passes_argmax_audit(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [("cost", [4.0, 20.0, 80.0]), ([1.0, 3.0, 9.0], [1.0, 3.0, 9.0])],
+        ids=["cost", "weights_1_3_9"],
+    )
+    def test_cli_artifact_ledger_passes_argmax_audit(
+        self, tmp_path, capsys, weights, expected
+    ):
         # End-to-end: run via the CLI, then replay the persisted ledger with
         # fresh refits and verify every loop pick was the effective-score
-        # argmax among affordable levels (exploration floor included).
+        # argmax among affordable levels (exploration floor included), both
+        # for the default weights a_l = cost and for weights unlike the costs.
         from mlasce.gp import fit
 
-        cfg = write_config(tmp_path, TOY3_CONFIG)
+        cfg = write_config(tmp_path, {**TOY3_CONFIG, "weights": weights})
         art = tmp_path / "model.json"
         assert main(["run", "--config", cfg, "--seed", "42", "--out", str(art)]) == 0
         capsys.readouterr()
@@ -642,6 +650,7 @@ class TestArtifactReplayAudit:
         costs = {lv.level: lv.cost_per_eval for lv in em.levels}
         weights = {lv.level: lv.weight for lv in em.levels}
         levels = sorted(costs)
+        assert [weights[lv] for lv in levels] == expected
 
         data = {lv: ([], []) for lv in levels}
         models = {lv: None for lv in levels}
@@ -725,3 +734,23 @@ class TestPerLevelSeedArtifact:
         np.testing.assert_array_equal(
             predict_batch(loaded, xs)[0], predict_batch(em, xs)[0]
         )
+
+    def test_numpy_integer_seeds_save(self, tmp_path):
+        # A numpy integer seed, alone or in a per-level list, is stored as a
+        # plain int: the artifact saves, and equals the one from the int seed.
+        paths = {}
+        for name, seed in (("int", 3), ("np", np.int64(3)), ("list", [np.int64(1), 2, 3])):
+            em = mlasce_run(ladder_for(TOY3), 200.0, nu=2.5, seed=seed, n_grid=21)
+            paths[name] = tmp_path / f"{name}.json"
+            save_artifact(em, str(paths[name]))
+        assert paths["np"].read_bytes() == paths["int"].read_bytes()
+        assert load_artifact(str(paths["np"])).seed == 3
+        assert load_artifact(str(paths["list"])).seed == [1, 2, 3]
+
+    def test_unserialisable_artifact_leaves_no_file(self, tmp_path):
+        em = mlasce_run(ladder_for(TOY3), 200.0, nu=2.5, seed=3, n_grid=21)
+        em.seed = np.int64(3)
+        path = tmp_path / "bad.json"
+        with pytest.raises(TypeError):
+            save_artifact(em, str(path))
+        assert not path.exists()

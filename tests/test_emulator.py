@@ -7,15 +7,23 @@ hyperparameters).
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from mlasce import emulator
+from mlasce.bench import TOY3, ladder_for
+from mlasce.design import CandidateSet
 from mlasce.emulator import (
+    EXPLORE_BUDGET_FRACTION,
+    EXPLORE_POINTS,
     FidelityLadder,
     Level,
+    LevelState,
+    MultilevelEmulator,
     SurrogateNormWarning,
+    _pick,
     error_bound,
     mlasce_run,
     predict_batch,
@@ -310,6 +318,79 @@ class TestMlasceRun:
         assert greedy > 0
         assert calls["fit"] == calls["score"] == len(em.ledger)
         assert calls["_select"] == greedy
+
+
+    def test_candidates_run_out(self):
+        # Five candidates per level and a budget far above 5 * (4 + 20 + 80):
+        # the run stops when every level has used its whole grid.
+        em = mlasce_run(ladder_for(TOY3), 2000.0, nu=2.5, seed=1, n_grid=5)
+        assert em.counts == [5, 5, 5]
+        assert em.spent == 520.0
+        assert sum(e.cost for e in em.ledger) == em.spent
+        for lv in em.levels:
+            assert len({tuple(x) for x in lv.model.X.tolist()}) == lv.model.n
+            assert lv.cands.cand.size == 0
+        assert _pick(em) is None
+
+
+def hand_level(level, gamma, n, cost=1.0, weight=1.0, cands=3):
+    """A LevelState with only what _pick reads: n, cost, weight, gamma, candidates."""
+    grid = np.zeros((cands, 1))
+    return LevelState(
+        level=level,
+        model=types.SimpleNamespace(n=n),
+        cost_per_eval=cost,
+        weight=weight,
+        gamma=gamma,
+        cands=CandidateSet(grid=grid, cand=np.arange(cands)),
+    )
+
+
+def hand_run(levels, budget=100.0, spent=0.0):
+    return MultilevelEmulator(levels=levels, domain=DOMAIN, budget=budget, spent=spent)
+
+
+class TestPick:
+    # Level 1 has a raw score of 0.1 and no floor; level 2 a raw score of 0
+    # and, while the floor applies, the effective score (1 / 1) / n_2.
+
+    def test_floor_applies_below_explore_points_only(self):
+        below = hand_run([hand_level(1, 0.1, n=5), hand_level(2, 0.0, n=EXPLORE_POINTS - 1)])
+        assert _pick(below).level == 2
+        at = hand_run([hand_level(1, 0.1, n=5), hand_level(2, 0.0, n=EXPLORE_POINTS)])
+        assert _pick(at).level == 1
+
+    def test_floor_applies_below_budget_fraction_only(self):
+        cut = EXPLORE_BUDGET_FRACTION * 100.0
+        for spent, expected in ((np.nextafter(cut, 0.0), 2), (cut, 1)):
+            em = hand_run(
+                [hand_level(1, 0.1, n=5), hand_level(2, 0.0, n=1)], spent=float(spent)
+            )
+            assert _pick(em).level == expected
+
+    def test_affordable_within_1e9(self):
+        remaining = 100.0 - 60.0
+        em = hand_run([hand_level(1, 1.0, n=5, cost=remaining + 1e-9)], spent=60.0)
+        assert _pick(em).level == 1
+        em = hand_run([hand_level(1, 1.0, n=5, cost=remaining + 1e-8)], spent=60.0)
+        assert _pick(em) is None
+
+    def test_level_without_candidates_is_skipped(self):
+        em = hand_run([hand_level(1, 5.0, n=5, cands=0), hand_level(2, 0.1, n=5)])
+        assert _pick(em).level == 2
+
+    def test_ties_go_to_the_lowest_level(self):
+        em = hand_run([hand_level(l, 0.5, n=5) for l in (1, 2, 3)])
+        assert _pick(em).level == 1
+        em = hand_run([hand_level(1, 0.2, n=5), hand_level(2, 0.5, n=5), hand_level(3, 0.5, n=5)])
+        assert _pick(em).level == 2
+
+    def test_none_when_no_level_qualifies(self):
+        em = hand_run(
+            [hand_level(1, 1.0, n=5, cands=0), hand_level(2, 1.0, n=5, cost=50.0)],
+            spent=60.0,
+        )
+        assert _pick(em) is None
 
 
 class TestPredict:
