@@ -19,6 +19,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_SIMULATOR = 4
+
+# Rows of `mlasce predict` output formatted per block.
+_PREDICT_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +256,13 @@ def load_config(path):
 # ---------------------------------------------------------------------------
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write the strings of chunks, one after another, to out or stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_plan(args):
@@ -302,7 +307,7 @@ def cmd_plan(args):
             ",".join("" if v is None else str(v) for v in r.values()) for r in rows
         ]
         text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit([text], args.out)
     return EXIT_OK
 
 
@@ -346,40 +351,66 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def _read_points(path, d):
+    """The (n, d) points of a points file: one point per line, d numbers.
+
+    Blank lines and lines starting with ``#`` are skipped. The file is
+    split, filtered and converted in a few C-level passes; only when that
+    fails is it walked line by line, for the first error's ``path:line``.
+    """
+    with open(path) as fh:
+        # Text mode has already turned \r\n and \r into \n.
+        lines = fh.read().split("\n")
+    # str.split and str.strip share one whitespace set, so a line's first
+    # token starts with "#" exactly when its stripped text does.
+    rows = [t for t in map(str.split, lines) if t and t[0][0] != "#"]
+    if set(map(len, rows)) <= {d}:
+        try:
+            X = np.fromiter(map(float, chain.from_iterable(rows)), float, len(rows) * d)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(X).all():
+                return X.reshape(-1, d)
+    raise ConfigError(_points_error(path, lines, d))
+
+
+def _points_error(path, lines, d):
+    """The first bad line's message: a count or number error in file order,
+    else the first non-finite point."""
+    not_finite = None
+    for ln, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        coords = line.split()
+        if len(coords) != d:
+            return f"{path}:{ln}: expected {d} coordinates, got {len(coords)}"
+        try:
+            values = [float(v) for v in coords]
+        except ValueError:
+            return f"{path}:{ln}: coordinates must be numbers, got {line!r}"
+        if not_finite is None and not all(map(math.isfinite, values)):
+            not_finite = f"{path}:{ln}: coordinates must be finite"
+    return not_finite
+
+
+def _prediction_csv(X, mean, sd):
+    """CSV chunks: the header ``x1..xd,mean,sd``, then one block of
+    shortest-repr rows per _PREDICT_BLOCK points, so only one block's
+    Python floats are alive at a time."""
+    yield ",".join([f"x{i + 1}" for i in range(X.shape[1])] + ["mean", "sd"]) + "\n"
+    for i in range(0, len(X), _PREDICT_BLOCK):
+        block = slice(i, i + _PREDICT_BLOCK)
+        cols = [map(repr, c.tolist()) for c in (*X[block].T, mean[block], sd[block])]
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
 def cmd_predict(args):
     emulator = load_artifact(args.artifact)
-    d = emulator.levels[0].model.dim
-    points = []
-    line_nos = []
-    with open(args.points) as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            coords = line.split()
-            if len(coords) != d:
-                raise ConfigError(
-                    f"{args.points}:{ln}: expected {d} coordinates, got {len(coords)}"
-                )
-            try:
-                points.append([float(v) for v in coords])
-            except ValueError:
-                raise ConfigError(
-                    f"{args.points}:{ln}: coordinates must be numbers, got {line!r}"
-                ) from None
-            line_nos.append(ln)
-    X = np.asarray(points, dtype=float).reshape(-1, d)
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=-1))
-    if bad.size:
-        raise ConfigError(f"{args.points}:{line_nos[bad[0]]}: coordinates must be finite")
+    X = _read_points(args.points, emulator.levels[0].model.dim)
     mean, var = predict_batch(emulator, X)
-    sd = np.sqrt(np.maximum(var, 0.0))
-    header = ",".join([f"x{i + 1}" for i in range(d)] + ["mean", "sd"])
-    # Row by row: one tolist() of the whole table would hold every row's
-    # floats at once on top of the lines.
-    table = np.column_stack([X, mean, sd])
-    lines = [header] + [",".join(map(repr, r.tolist())) for r in table]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_prediction_csv(X, mean, np.sqrt(np.maximum(var, 0.0))), args.out)
     return EXIT_OK
 
 
@@ -399,7 +430,7 @@ def cmd_bench(args):
                 suite, method, budgets, seeds, nu=nu, workers=args.workers
             )
         )
-    _emit(bench.results_to_csv(results), args.out)
+    _emit([bench.results_to_csv(results)], args.out)
     return EXIT_OK
 
 

@@ -195,6 +195,13 @@ def _extend(em, lv, x, chosen, value, nu, nugget, iteration):
     )
 
 
+def _seed_int(s):
+    """s as a plain int; a bool or a non-integer (even 3.0) is a ValueError."""
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {s!r}")
+    return int(s)
+
+
 def mlasce_run(
     ladder,
     budget,
@@ -241,10 +248,10 @@ def mlasce_run(
     # seed may be a single integer (per-level streams are spawned from it)
     # or one integer per level; it is kept as plain ints for the artifact.
     if np.ndim(seed) == 0:
-        seed = int(seed)
+        seed = _seed_int(seed)
         children = np.random.SeedSequence(seed).spawn(L)
     else:
-        seed = [int(s) for s in seed]
+        seed = [_seed_int(s) for s in seed]
         children = [np.random.SeedSequence(s) for s in seed]
         if len(children) != L:
             raise ValueError(f"expected {L} per-level seeds, got {len(children)}")

@@ -12,6 +12,7 @@ import pytest
 from mlasce.artifact import load_artifact, save_artifact
 from mlasce.bench import TOY3, ladder_for
 from mlasce.cli import (
+    _PREDICT_BLOCK,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_SIMULATOR,
@@ -407,6 +408,96 @@ def small_artifact(tmp_path_factory):
     path = tmp_path_factory.mktemp("artifact") / "model.json"
     save_artifact(mlasce_run(ladder_for(TOY3), 160.0, nu=2.5, seed=1, n_grid=21), path)
     return path
+
+
+@pytest.fixture(scope="module")
+def artifact_2d(tmp_path_factory):
+    ladder = FidelityLadder(
+        levels=(
+            Level(lambda x: math.sin(3 * x[0]) + x[1], cost=4.0, accuracy=1.0),
+            Level(lambda x: 0.1 * x[0] * x[1], cost=16.0, accuracy=0.5),
+        ),
+        domain=([0.0, 0.0], [1.0, 1.0]),
+    )
+    path = tmp_path_factory.mktemp("artifact") / "model2d.json"
+    save_artifact(mlasce_run(ladder, 60.0, nu=2.5, seed=1, n_grid=30), path)
+    return path
+
+
+def points_text(X, layout):
+    """X as a points file; the layouts add what the reader must skip or undo."""
+    rows = X.tolist()
+    if layout == "tabs":
+        lines = [" \t" + "\t".join(map(repr, x)) + "\t " for x in rows]
+    else:
+        lines = [" ".join(map(repr, x)) for x in rows]
+    if layout == "comments":
+        # A comment line, a whitespace-only line, an indented comment and a
+        # blank line after every seventh point.
+        noise = ["#points", "  \t", "   # note", ""]
+        lines = [line for i, x in enumerate(lines) for line in [x] + noise * (i % 7 == 0)]
+    nl = "\r\n" if layout == "crlf" else "\n"
+    text = nl.join(lines)
+    return text if layout == "no_final_newline" else text + nl
+
+
+class TestPredictOutputBytes:
+    """`mlasce predict` writes what the row-wise reference formatter writes."""
+
+    @pytest.mark.parametrize("n", [0, 1, _PREDICT_BLOCK - 1, _PREDICT_BLOCK, _PREDICT_BLOCK + 1])
+    @pytest.mark.parametrize("layout", ["plain", "comments", "tabs", "crlf", "no_final_newline"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_row_wise_reference(
+        self, tmp_path, capsys, small_artifact, artifact_2d, dim, layout, n
+    ):
+        art = small_artifact if dim == 1 else artifact_2d
+        hi = PI if dim == 1 else 1.0
+        X = np.random.default_rng(n).uniform(0.0, hi, size=(n, dim))
+        pts = tmp_path / "points.txt"
+        pts.write_bytes(points_text(X, layout).encode())
+        assert main(["predict", "--artifact", str(art), "--points", str(pts)]) == 0
+        mean, var = predict_batch(load_artifact(str(art)), X)
+        table = np.column_stack([X, mean, np.sqrt(np.maximum(var, 0.0))])
+        header = ",".join([f"x{i + 1}" for i in range(dim)] + ["mean", "sd"])
+        want = "".join(
+            [header + "\n"] + [",".join(map(repr, row)) + "\n" for row in table.tolist()]
+        )
+        assert capsys.readouterr().out == want
+
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path, capsys, small_artifact):
+        X = np.linspace(0.0, PI, _PREDICT_BLOCK + 3).reshape(-1, 1)
+        pts, out = tmp_path / "points.txt", tmp_path / "pred.csv"
+        pts.write_text(points_text(X, "plain"))
+        argv = ["predict", "--artifact", str(small_artifact), "--points", str(pts)]
+        assert main(argv) == 0
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
+class TestPredictErrors:
+    """Bad points files exit 2 with the first bad line's `path:line` and
+    message: count and number errors in file order, then non-finite ones."""
+
+    @pytest.mark.parametrize(
+        "dim,text,message",
+        [
+            (2, "0.1 0.2\n0.3 0.4\n# c\n\n0.5\n", "5: expected 2 coordinates, got 1"),
+            (1, "0.5\n1.0\n0.25 0.75\n", "3: expected 1 coordinates, got 2"),
+            (2, "0.1 0.2\n \t0.5\tabc \n", "2: coordinates must be numbers, got '0.5\\tabc'"),
+            (1, "0.5\nnan\n0.25\nabc\n", "4: coordinates must be numbers, got 'abc'"),
+            (1, "0.5\r\n\r\n1e-3x\r\n", "3: coordinates must be numbers, got '1e-3x'"),
+            (1, "inf\n", "1: coordinates must be finite"),
+            (2, "0.1 0.2\n0.3 -inf\n0.5 nan\n", "2: coordinates must be finite"),
+        ],
+    )
+    def test_first_bad_line(
+        self, tmp_path, capsys, small_artifact, artifact_2d, dim, text, message
+    ):
+        art = small_artifact if dim == 1 else artifact_2d
+        pts = tmp_path / "points.txt"
+        pts.write_bytes(text.encode())
+        assert main(["predict", "--artifact", str(art), "--points", str(pts)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {pts}:{message}\n")
 
 
 class TestFileErrors:

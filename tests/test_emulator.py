@@ -157,6 +157,15 @@ class TestMlasceRun:
         with pytest.raises(ValueError, match="weights"):
             mlasce_run(toy_ladder(), budget=200.0, nu=2.5, a=[1.0, a, 1.0], seed=0, n_grid=41)
 
+    @pytest.mark.parametrize(
+        "seed,bad", [(3.7, "3.7"), (True, "True"), ([1, 2.5, 3], "2.5"), (np.float64(3.0), "3.0")]
+    )
+    def test_rejects_non_integer_seed(self, seed, bad):
+        # Truncating would run 3.7 as 3 and True as 1; numpy integer seeds
+        # are accepted (test_cli's TestPerLevelSeedArtifact).
+        with pytest.raises(ValueError, match=f"seed must be an integer, got .*{bad}"):
+            mlasce_run(toy_ladder(), budget=200.0, nu=2.5, seed=seed, n_grid=41)
+
     @pytest.mark.parametrize("tau2_s", [math.nan, math.inf, -1.0])
     def test_rejects_invalid_stabilizer(self, tau2_s):
         with pytest.raises(ValueError, match="stabilizer"):
