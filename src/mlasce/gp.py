@@ -7,7 +7,8 @@ a fixed log-uniform lattice, its correlation matrices factorized and
 half-solved as one stack in two batched numpy calls (or one by one with
 jitter escalation if any is not positive definite), then a bounded Brent
 refine around the best point. Posterior quantities use a cached Cholesky
-factor of the correlation matrix.
+factor of the correlation matrix. fit and posterior_batch run their BLAS
+on one thread (see kernels).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import FactorizationError
 from .kernels import (
     CholeskyFactor,
     KernelSpec,
+    _blas_threads,
     as_design,
     check_nuggets,
     chol_factor,
@@ -119,6 +121,7 @@ def _diameter(domain, dist):
     return float(dist.max())
 
 
+@_blas_threads(1)
 def fit(X, y, nu, nugget=0.0, domain=None):
     """Maximum-likelihood GP fit with fixed nu and nugget.
 
@@ -200,6 +203,7 @@ def _unit_residual_var(model, r):
     return np.maximum(resid, 0.0)
 
 
+@_blas_threads(1)
 def posterior_batch(model, X, var=True):
     """Posterior means and variances at many query points; var=False skips
     the variance's triangular solve and returns (means, None)."""

@@ -12,11 +12,28 @@ directly: the GP matrices are tiny (a few to a few dozen rows), so scipy's
 per-call argument checks in cholesky and solve_triangular would cost more
 than the arithmetic. They are the routines those wrappers call, so the
 results are bitwise the same.
+
+Threads: the package's small-matrix BLAS and LAPACK calls run on one
+thread. OpenBLAS splits even small calls (a few dozen rows, or a
+matrix-vector product over 10,001 rows) across its threads, and the idle
+helpers then spin against the Python thread. _blas_threads(1) sets the
+count of every OpenBLAS loaded in the process, numpy's and scipy's copies
+alike, while a call runs and restores it after. The count is process-wide,
+so other threads see it meanwhile; overlapping calls from several threads
+restore it when the last of them returns. The one call that gains from
+threads, the MICE candidate Gram's factorisation at design._THREADED_M
+candidates or more, runs at the caller's count. Without OpenBLAS (MKL,
+Accelerate, or no /proc/self/maps) the helper does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,3 +233,67 @@ def chol_stack(A):
     callers fall back to chol_factor per matrix.
     """
     return CholeskyFactor(np.linalg.cholesky(A))
+
+
+@functools.cache
+def _openblas_pools():
+    """(get, set) thread-count functions of every OpenBLAS mapped into the process."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh}
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (
+            "scipy_openblas_{}_num_threads64_",
+            "scipy_openblas_{}_num_threads",
+            "openblas_{}_num_threads64_",
+            "openblas_{}_num_threads",
+        ):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+# The pools are process-wide, so the blocks open in every thread share one
+# record: the counts from before the first of them opened, and each open
+# block's n in opening order. A closing block sets the latest open block's
+# n, or those counts once none is open, so blocks that overlap in several
+# threads cannot leave a pool at another block's count.
+_pools_lock = threading.Lock()
+_open_blocks = {}
+_counts_before = []
+
+
+@contextlib.contextmanager
+def _blas_threads(n):
+    """Run the block (or, as a decorator, each call) with n threads in every
+    OpenBLAS pool, restoring each pool's previous count afterwards."""
+    pools = _openblas_pools()
+    token = object()
+    with _pools_lock:
+        if not _open_blocks:
+            _counts_before[:] = [get() for get, _ in pools]
+        _open_blocks[token] = n
+        for _, put in pools:
+            put(n)
+    try:
+        yield
+    finally:
+        with _pools_lock:
+            del _open_blocks[token]
+            if _open_blocks:
+                counts = [next(reversed(_open_blocks.values()))] * len(pools)
+            else:
+                counts = _counts_before
+            for (_, put), k in zip(pools, counts):
+                put(k)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from mlasce import design
+from mlasce import design, kernels
 from mlasce.design import (
     CandidateSet,
     _GRAM_BLOCK,
     _PRUNE_MARGIN,
     _SUFFIX0,
+    _THREADED_M,
     _corr_gram,
     _first_max,
     _select,
@@ -357,6 +358,32 @@ class TestSelectPruning:
         sizes = spy_trtri(monkeypatch)
         _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
         assert 0 < max(sizes) < m / 2
+
+
+@pytest.mark.skipif(
+    not kernels._openblas_pools(), reason="no OpenBLAS mapped into this process"
+)
+class TestBlasThreadRule:
+    """The candidate Gram's Cholesky runs on one BLAS thread below
+    _THREADED_M candidates and at the caller's count from there up."""
+
+    @pytest.mark.parametrize("m, threads", [(200, 1), (_THREADED_M - 1, 1), (_THREADED_M, 2)])
+    def test_select_factorises_at_the_sized_count(self, m, threads, monkeypatch):
+        real = design.chol_factor
+        seen = []
+
+        def spy(A, jitter0=0.0, refill=None):
+            seen.append([get() for get, _ in kernels._openblas_pools()])
+            return real(A, jitter0=jitter0, refill=refill)
+
+        spec = KernelSpec(nu=2.5, lam=0.3, sigma2=1.7, nugget=1e-8)
+        model, tau_bar = make_model(spec)
+        grid = np.random.default_rng(m).uniform(0.0, 1.0, size=(m, 2))
+        monkeypatch.setattr(design, "chol_factor", spy)
+        with kernels._blas_threads(2):
+            _select(model, CandidateSet(grid=grid, cand=np.arange(m)), tau_bar)
+            assert [get() for get, _ in kernels._openblas_pools()] == [2] * len(seen[0])
+        assert seen == [[threads] * len(seen[0])]
 
 
 class TestLowerTriangleOnly:

@@ -187,6 +187,21 @@ class TestPosterior:
             tracemalloc.stop()
         assert peak <= 1.5 * N * n * 8
 
+    @pytest.mark.parametrize("n", [50, 55, 65, 74])
+    def test_l2_means_do_not_depend_on_the_blas_thread_count(self, n):
+        # At these sizes the full-matrix r @ alpha at the L2 error's 10,001
+        # points rounds differently on 1 and 2 OpenBLAS threads, so
+        # posterior_batch runs on one thread whatever the caller's count.
+        X = np.linspace(0.0, math.pi, n)
+        y = np.sin(3.0 * X) + 0.3 * np.cos(7.0 * X)
+        model = fit(X, y, nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
+        xq = np.linspace(0.0, math.pi, 10001)
+        means = []
+        for threads in (1, 2):
+            with kernels._blas_threads(threads):
+                means.append(posterior_batch(model, xq, var=False)[0])
+        assert means[0].tobytes() == means[1].tobytes()
+
 
 class TestPowerFunction:
     def test_zero_at_training_points(self):

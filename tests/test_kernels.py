@@ -6,6 +6,8 @@ against element-wise kernel calls.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -419,3 +421,96 @@ class TestHigherDimensions:
                     continue
                 r = np.linalg.norm(X[i] - X[j])
                 assert K[i, j] == pytest.approx(float(matern(r, spec)), rel=1e-13)
+
+
+def pool_counts():
+    return [get() for get, _ in kernels._openblas_pools()]
+
+
+needs_openblas = pytest.mark.skipif(
+    not kernels._openblas_pools(), reason="no OpenBLAS mapped into this process"
+)
+
+
+@pytest.fixture
+def uneven_pools():
+    """Pools at counts 2, 1, 2, ... (so a restore cannot pass by accident),
+    put back as they were after the test."""
+    pools = kernels._openblas_pools()
+    saved = pool_counts()
+    for i, (_, put) in enumerate(pools):
+        put(2 - i % 2)
+    yield pool_counts()
+    for (_, put), k in zip(pools, saved):
+        put(k)
+
+
+@needs_openblas
+class TestBlasThreads:
+    def test_sets_every_pool_and_restores_after_return(self, uneven_pools):
+        assert uneven_pools == [2 - i % 2 for i in range(len(uneven_pools))]
+        for n in (1, 2):
+            with kernels._blas_threads(n):
+                assert pool_counts() == [n] * len(uneven_pools)
+            assert pool_counts() == uneven_pools
+
+    def test_restores_after_an_exception(self, uneven_pools):
+        with pytest.raises(KeyError):
+            with kernels._blas_threads(1):
+                raise KeyError("inside")
+        assert pool_counts() == uneven_pools
+
+    def test_nested(self, uneven_pools):
+        k = len(uneven_pools)
+        with kernels._blas_threads(1):
+            with kernels._blas_threads(2):
+                assert pool_counts() == [2] * k
+            assert pool_counts() == [1] * k
+        assert pool_counts() == uneven_pools
+
+    def test_as_a_decorator(self, uneven_pools):
+        @kernels._blas_threads(1)
+        def counts(fail):
+            if fail:
+                raise ValueError("inside")
+            return pool_counts()
+
+        assert counts(False) == [1] * len(uneven_pools)
+        assert pool_counts() == uneven_pools
+        with pytest.raises(ValueError):
+            counts(True)
+        assert pool_counts() == uneven_pools
+
+    def test_no_op_without_pools(self, uneven_pools, monkeypatch):
+        # As on a platform without OpenBLAS: nothing is read or set.
+        pools = kernels._openblas_pools()
+        monkeypatch.setattr(kernels, "_openblas_pools", lambda: ())
+        with kernels._blas_threads(1):
+            assert [get() for get, _ in pools] == uneven_pools
+        assert [get() for get, _ in pools] == uneven_pools
+
+    def test_overlapping_blocks_in_threads_restore_the_counts(self, uneven_pools):
+        # More threads than cores, switching often: blocks open and close
+        # out of order across threads, and after every round the counts
+        # must be back where they were.
+        def work(start):
+            start.wait(timeout=60)
+            for i in range(100):
+                with kernels._blas_threads(1 + i % 2):
+                    with kernels._blas_threads(2 - i % 2):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                start = threading.Barrier(3)
+                threads = [threading.Thread(target=work, args=(start,)) for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert pool_counts() == uneven_pools
+        finally:
+            sys.setswitchinterval(interval)
