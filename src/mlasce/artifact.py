@@ -116,7 +116,8 @@ def emulator_from_doc(doc):
         )
     except KeyError as exc:
         raise ConfigError(f"artifact is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: int() of an infinite number, e.g. an "iteration" of Infinity.
         raise ConfigError(f"invalid artifact entry: {exc}") from None
 
 

@@ -434,7 +434,10 @@ def cmd_bench(args):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; main dispatches
+    args.command to the module's cmd_* function by name at call time."""
     parser = argparse.ArgumentParser(
         prog="mlasce",
         description="Multilevel adaptive sequential GP emulation",
@@ -446,20 +449,17 @@ def build_parser():
     p.add_argument("--budget", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="build an emulator under a budget")
     p.add_argument("--config", required=True)
     p.add_argument("--budget", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="artifact path")
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("predict", help="evaluate a saved emulator")
     p.add_argument("--artifact", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("bench", help="run a benchmark sweep")
     p.add_argument("--suite", required=True)
@@ -469,7 +469,6 @@ def build_parser():
     p.add_argument("--nu", help="comma-separated per-level smoothness")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
@@ -480,7 +479,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

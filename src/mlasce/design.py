@@ -30,7 +30,6 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.spatial.distance import cdist
 
 from .errors import CandidatesExhausted, FactorizationError, SimulatorError
 from .gp import GPModel, fit, posterior_batch
@@ -40,6 +39,7 @@ from .kernels import (
     check_nuggets,
     chol_factor,
     corr_vector,
+    distances,
     matern_corr,
 )
 
@@ -111,15 +111,21 @@ def generate_grid(domain, n_grid, seed):
 def _corr_gram(pts, spec, diag_add):
     # The lower triangle (diagonal included) of one Fortran-ordered buffer
     # that chol_factor and dtrtri then overwrite in place. Each column block
-    # is one kernel call on the pairs from the block down (once per pair,
-    # block-sized temporaries), whose C-ordered transpose is the block's
-    # Fortran slab; cdist is symmetric bitwise. No caller reads the strict
-    # upper triangle, so only the diagonal blocks write into it.
+    # is one distances and one in-place kernel call on the pairs from the
+    # block down (once per pair), in a scratch buffer allocated once per
+    # Gram; its C-ordered transpose is the block's Fortran slab, and
+    # distances is symmetric bitwise. No caller reads the strict upper
+    # triangle, so only the diagonal blocks write into it. Fortran-ordered
+    # points give distances contiguous coordinate columns.
     m = len(pts)
+    pts = np.asfortranarray(pts)
     R = np.empty((m, m), order="F")
+    scratch = np.empty(min(_GRAM_BLOCK, m) * m)
     for j0 in range(0, m, _GRAM_BLOCK):
         j1 = min(j0 + _GRAM_BLOCK, m)
-        R[j0:, j0:j1] = matern_corr(cdist(pts[j0:j1], pts[j0:]), spec.nu, spec.lam).T
+        block = scratch[:(j1 - j0) * (m - j0)].reshape(j1 - j0, m - j0)
+        distances(pts[j0:j1], pts[j0:], out=block)
+        R[j0:, j0:j1] = matern_corr(block, spec.nu, spec.lam, out=block).T
     np.fill_diagonal(R, 1.0 + diag_add)
     return R
 

@@ -6,9 +6,11 @@ profiled out in closed form, leaving a search over log correlation length:
 a fixed log-uniform lattice, its correlation matrices factorized and
 half-solved as one stack in two batched numpy calls (or one by one with
 jitter escalation if any is not positive definite), then a bounded Brent
-refine around the best point. Posterior quantities use a cached Cholesky
-factor of the correlation matrix. fit and posterior_batch run their BLAS
-on one thread (see kernels).
+refine around the best point (_brent_bounded, scipy's fminbound ported
+bit for bit, so importing the package loads no scipy.optimize).
+Posterior quantities use a cached Cholesky factor of the correlation
+matrix. fit and posterior_batch run their BLAS on one thread (see
+kernels).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
 from .kernels import (
@@ -30,6 +30,7 @@ from .kernels import (
     chol_factor,
     chol_stack,
     corr_vector,
+    distances,
     matern_corr,
 )
 
@@ -40,10 +41,12 @@ _SIG_LO, _SIG_HI = 1e-8, 1e4
 
 # Log-lam search: _LATTICE points over the interior of a 10-point log-uniform
 # split of the box, in stacks of at most _STACK_ENTRIES floats; the Brent
-# refine stops at _XATOL (in log lam) and must beat the lattice by over _FTOL.
+# refine stops at _XATOL (in log lam) or after _MAXFUN evaluations and must
+# beat the lattice by over _FTOL.
 _LATTICE = 36
 _STACK_ENTRIES = 1 << 20
 _XATOL = 1e-5
+_MAXFUN = 500
 _FTOL = 1e-9
 
 
@@ -58,6 +61,87 @@ def _checked(X, y):
     if not np.all(np.isfinite(y)):
         raise ValueError("observations contain non-finite entries")
     return X, y
+
+
+def _sign(v):
+    """np.sign(v) + (v == 0): 1.0 for v >= 0 (-0.0 included), -1.0 below, nan for nan."""
+    return 1.0 if v >= 0.0 else -1.0 if v < 0.0 else v
+
+
+def _brent_bounded(f, lo, hi, xatol):
+    """Minimise f on [lo, hi] by Brent's bounded method; returns (x, f(x)).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5:
+    golden-section steps, parabolic ones where they are safe. A port of
+    scipy.optimize.fminbound's core (scipy's _minimize_scalar_bounded,
+    BSD-3-Clause, copyright the SciPy Developers) with the same arithmetic,
+    comparisons and stop after _MAXFUN evaluations, so it evaluates f at
+    the same points and returns the same bits; printing and the result
+    object are left out. np.maximum's nan rule needs no copy: a nan there
+    makes x nan through the sign or xf either way.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = float(lo), float(hi)
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _sign(xm - xf)
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + _sign(rat) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return xf, fx
 
 
 def _profile(dist, y, nu, lam, nugget):
@@ -94,7 +178,7 @@ class GPModel:
         X, y = _checked(X, y)
         if spec.sigma2 <= 0.0:
             raise ValueError("model construction requires sigma2 > 0")
-        fac, _, _ = _profile(cdist(X, X), y, spec.nu, spec.lam, spec.nugget)
+        fac, _, _ = _profile(distances(X, X), y, spec.nu, spec.lam, spec.nugget)
         return cls(X=X, y=y, spec=spec, chol=fac, alpha=fac.solve(y) / spec.sigma2)
 
     @property
@@ -135,7 +219,7 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     check_nuggets(nugget)
     X, y = _checked(X, y)
     n = X.shape[0]
-    dist = cdist(X, X)
+    dist = distances(X, X)
     lam_lo, lam_hi = lambda_bounds(_diameter(domain, dist))
     if n == 1:
         # One point pins only the scale; the likelihood is flat in lam.
@@ -168,11 +252,9 @@ def fit(X, y, nu, nugget=0.0, domain=None):
         raise FactorizationError("every lattice point failed to factorize")
     # Brent's bracket: the best point's neighbours, or the box bound at an end.
     lo, hi = np.r_[log_lo, grid, log_hi][[k, k + 2]]
-    res = minimize_scalar(
-        objective, bounds=(lo, hi), method="bounded", options={"xatol": _XATOL}
-    )
+    refined = _brent_bounded(objective, lo, hi, _XATOL)
     ends = [(t, objective(t)) for t in (lo, hi) if t in (log_lo, log_hi)]
-    for loglam, val in [(float(res.x), float(res.fun))] + ends:
+    for loglam, val in [refined] + ends:
         if val < best_val - _FTOL:
             best_val, best_loglam = val, loglam
 

@@ -3,9 +3,11 @@
 Only the half-integer smoothness values with closed forms (1/2, 3/2, 5/2,
 7/2) plus the Gaussian limit are supported; these avoid Bessel evaluation
 entirely and cover every configuration used elsewhere in the package.
-Cross-correlations are filled in row blocks of about _CROSS_ENTRIES
+Distances are computed with numpy as scipy's cdist computes them (see
+distances), the same bits without importing scipy.spatial. Cross-
+correlations are filled in place in row blocks of about _CROSS_ENTRIES
 entries, so the kernel's temporaries stay cache-sized; each entry is
-elementwise, so the result is bitwise matern_corr(cdist(Xq, X)).
+elementwise, so the result is bitwise matern_corr(distances(Xq, X)).
 
 Single factorizations and triangular solves call LAPACK dpotrf and dtrtrs
 directly: the GP matrices are tiny (a few to a few dozen rows), so scipy's
@@ -38,15 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
-from scipy.spatial.distance import cdist
 
 from .errors import FactorizationError
 
 SUPPORTED_NU = (0.5, 1.5, 2.5, 3.5, math.inf)
 
-_SQRT3 = math.sqrt(3.0)
-_SQRT5 = math.sqrt(5.0)
-_SQRT7 = math.sqrt(7.0)
+_SQRT_2NU = {1.5: math.sqrt(3.0), 2.5: math.sqrt(5.0), 3.5: math.sqrt(7.0)}
 
 # Jitter escalation: floor for specs with zero nugget, absolute cap.
 _JITTER_FLOOR = 1e-12
@@ -104,23 +103,65 @@ def as_design(X):
     return X
 
 
-def matern_corr(r, nu, lam):
-    """Unit-variance Matern correlation at distance(s) r >= 0."""
-    u = np.asarray(r, dtype=float) / lam
-    if nu == 0.5:
-        return np.exp(-u)
-    if nu == 1.5:
-        s = _SQRT3 * u
-        return (1.0 + s) * np.exp(-s)
-    if nu == 2.5:
-        s = _SQRT5 * u
-        return (1.0 + s + s * s / 3.0) * np.exp(-s)
-    if nu == 3.5:
-        s = _SQRT7 * u
-        return (1.0 + s + 0.4 * s * s + s ** 3 / 15.0) * np.exp(-s)
+def distances(A, B, out=None):
+    """Euclidean distances between the rows of A (m, d) and B (n, d), in
+    ``out`` (m, n) when given.
+
+    The squared coordinate differences are summed in coordinate order and
+    then square-rooted, as scipy's cdist does, so the result is the same
+    bits; d(a, b) == d(b, a) bitwise, since a - b == -(b - a) exactly.
+    """
+    if out is None:
+        out = np.empty((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        # A's column copied across, then B's row subtracted in place: a
+        # third faster than numpy's column-minus-row broadcast into out.
+        diff = out if k == 0 else np.empty_like(out)
+        np.copyto(diff, A[:, k:k + 1])
+        diff -= B[:, k]
+        diff *= diff
+        if k:
+            out += diff
+    return np.sqrt(out, out)
+
+
+def matern_corr(r, nu, lam, out=None):
+    """Unit-variance Matern correlation at distance(s) r >= 0, in ``out``
+    (shaped like r / lam; it may be r itself) when given.
+
+    Each closed form keeps its operation order, evaluated in place with at
+    most two temporaries, so ``out`` changes no bit of the result.
+    """
+    if nu not in SUPPORTED_NU:
+        raise ValueError(f"nu={nu!r} unsupported; choose one of {SUPPORTED_NU}")
+    s = np.divide(r, lam, out=out)  # u = r / lam
+    scalar = s.ndim == 0
+    if scalar:
+        s = np.reshape(s, 1)  # an array, so that the steps below stay in place
+    p = None
     if nu == math.inf:
-        return np.exp(-u * u)
-    raise ValueError(f"nu={nu!r} unsupported; choose one of {SUPPORTED_NU}")
+        s *= s  # exp(-u * u)
+    elif nu != 0.5:
+        # (1 + s + s * s / 3 + ...) exp(-s) with s = sqrt(2 nu) u: the
+        # polynomial p first, while s is still there.
+        s *= _SQRT_2NU[nu]
+        p = s + 1.0
+        if nu == 2.5:
+            t = s * s
+            t /= 3.0
+            p += t
+        elif nu == 3.5:
+            t = 0.4 * s
+            t *= s
+            p += t
+            np.power(s, 3, t)
+            t /= 15.0
+            p += t
+    np.negative(s, s)
+    np.exp(s, s)
+    if p is not None:
+        s *= p
+    return s[0] if scalar else s
 
 
 def corr_vector(Xq, X, spec):
@@ -133,7 +174,8 @@ def corr_vector(Xq, X, spec):
     step = max(1, _CROSS_ENTRIES // max(1, len(X)))
     out = np.empty((len(Xq), len(X)))
     for i in range(0, len(Xq), step):
-        out[i:i + step] = matern_corr(cdist(Xq[i:i + step], X), spec.nu, spec.lam)
+        block = out[i:i + step]
+        matern_corr(distances(Xq[i:i + step], X, out=block), spec.nu, spec.lam, out=block)
     return out
 
 

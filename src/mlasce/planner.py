@@ -21,6 +21,8 @@ import numpy as np
 from .errors import InfeasibleError
 
 _BUDGET_RTOL = 1e-9
+# Rounded counts are int64: their floors must lie below 2**63.
+_COUNT_LIMIT = 2.0**63
 _GRID_POINTS = 64
 _MAX_ITERS = 100
 # The enumeration's time and memory grow as L 2^L: about 3 s and 160 MB
@@ -312,19 +314,41 @@ def closed_form_allocation(params):
 
 
 def _round_counts(n, t, budget):
-    """Largest-remainder rounding, keeping counts >= 1 and spend <= budget."""
+    """Largest-remainder rounding, keeping counts >= 1 and spend <= budget.
+
+    ValueError if a count is not finite or its floor does not fit in int64.
+    """
     n = np.asarray(n, dtype=float)
     t = np.asarray(t, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(n) & (np.floor(n) < _COUNT_LIMIT)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"level {i + 1}: run count {float(n[i])!r} cannot be rounded to a 64-bit integer"
+        )
+    limit = budget * (1.0 + _BUDGET_RTOL)
     floors = np.maximum(np.floor(n), 1.0)
-    # repair any overspend introduced by the >= 1 floor
-    while floors @ t > budget * (1.0 + _BUDGET_RTOL):
+    # Repair any overspend introduced by the >= 1 floor, one unit at a time
+    # off the dearest count above 1. The spend is monotone in each count,
+    # so bisection finds where those unit steps stop, in at most 64 spends.
+    while floors @ t > limit:
         adjustable = np.nonzero(floors > 1.0)[0]
         if adjustable.size == 0:
             break
         j = adjustable[np.argmax(t[adjustable])]
-        floors[j] -= 1.0
+        fits, over = 1, int(floors[j])
+        floors[j] = 1.0
+        if floors @ t > limit:
+            continue  # even 1 overspends: the next dearest count goes down too
+        while over - fits > 1:
+            floors[j] = mid = (fits + over) // 2
+            if floors @ t > limit:
+                over = mid
+            else:
+                fits = mid
+        floors[j] = fits
     remainders = n - floors
     for j in np.argsort(-remainders):
-        if floors @ t + t[j] <= budget * (1.0 + _BUDGET_RTOL):
+        if floors @ t + t[j] <= limit:
             floors[j] += 1.0
     return floors.astype(int)

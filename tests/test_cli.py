@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mlasce.artifact import load_artifact, save_artifact
+from mlasce import cli
 from mlasce.bench import TOY3, ladder_for
 from mlasce.cli import (
     _PREDICT_BLOCK,
@@ -250,6 +251,31 @@ class TestPlanCommand:
             assert int(cells[0]) == row["level"] and int(cells[6]) == row["n_rounded"]
             for cell, key in zip(cells[1:6], ("h", "t", "nu", "n_numerical", "n_closed_form")):
                 assert (None if cell == "" else float(cell)) == row[key]
+
+
+    @pytest.mark.parametrize(
+        "change", [{"cost": 1e-320}, {"budget": 1e308}], ids=["tiny-cost", "huge-budget"]
+    )
+    def test_count_beyond_int64_exits_2_promptly(self, tmp_path, change):
+        # A level cost of 1e-320 makes a count overflow to infinity (whose
+        # rounding repair never ended); a budget of 1e308 makes one that
+        # int64 cannot hold (printed as -9223372036854775808). The child
+        # process gets a wall-clock limit.
+        doc = json.loads(json.dumps(TABLE_CONFIG))
+        doc["budget"] = change.get("budget", doc["budget"])
+        doc["levels"][0]["cost"] = change.get("cost", doc["levels"][0]["cost"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlasce.cli", "plan", "--config",
+             write_config(tmp_path, doc), "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                 "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stdout
+        assert proc.stdout == ""
+        assert "level 1: run count" in proc.stderr and "64-bit integer" in proc.stderr
 
 
 class TestRunCommand:
@@ -500,6 +526,28 @@ class TestPredictErrors:
         assert capsys.readouterr() == ("", f"error: {pts}:{message}\n")
 
 
+class TestParser:
+    def test_built_once_for_successive_commands(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TABLE_CONFIG)
+        assert main(["plan", "--config", cfg, "--format", "json"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert main(["plan", "--config", cfg, "--budget", "400"]) == 0
+        assert capsys.readouterr().out.startswith("level,")
+        assert main(["run", "--config", write_config(tmp_path, TOY3_CONFIG, "run.json")]) == 0
+        assert capsys.readouterr().out.startswith("budget 240.0 spent ")
+        assert len(plan["levels"]) == 5
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_dispatches_to_the_module_attribute(self, tmp_path, monkeypatch):
+        # A wrapper installed on cli.cmd_plan after the parser exists (as the
+        # benchmark's tracer does) is the function main calls.
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_plan", lambda args: seen.append(args.command) or 17)
+        assert main(["plan", "--config", write_config(tmp_path, TABLE_CONFIG)]) == 17
+        assert seen == ["plan"]
+
+
 class TestFileErrors:
     """Unreadable inputs and unwritable outputs exit 2 and name the path."""
 
@@ -532,6 +580,17 @@ class TestFileErrors:
         pts.write_text("0.5\n")
         code, err = self.run_predict(capsys, art, pts)
         assert code == EXIT_CONFIG and str(art) in err and "lam" in err
+
+    def test_infinite_ledger_iteration(self, tmp_path, capsys, small_artifact):
+        # int(inf) raises OverflowError, which used to escape as a traceback.
+        doc = json.loads(small_artifact.read_text())
+        doc["ledger"][0]["iteration"] = math.inf
+        art, pts = tmp_path / "inf.json", tmp_path / "points.txt"
+        art.write_text(json.dumps(doc))
+        assert "Infinity" in art.read_text()
+        pts.write_text("0.5\n")
+        code, err = self.run_predict(capsys, art, pts)
+        assert code == EXIT_CONFIG and str(art) in err and "invalid artifact entry" in err
 
     def test_unwritable_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY3_CONFIG)

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from mlasce import gp, kernels
 from mlasce.errors import FactorizationError
@@ -433,6 +434,82 @@ class TestFitSearch:
         monkeypatch.setattr(gp, "_STACK_ENTRIES", 1)
         chunked = fit(X, y, nu=1.5, nugget=1e-8, domain=(0.0, math.pi))
         assert chunked.spec == whole.spec
+
+
+def _brent_pair(f, lo, hi, xatol=gp._XATOL, brent=gp._brent_bounded):
+    """(scipy's bounded minimize_scalar, gp._brent_bounded) on f: each side's
+    evaluation points and its (x, f(x))."""
+    sides = []
+    for run in (
+        lambda g: minimize_scalar(g, bounds=(lo, hi), method="bounded",
+                                  options={"xatol": xatol}),
+        lambda g: brent(g, lo, hi, xatol),
+    ):
+        xs = []
+        out = run(lambda x: (xs.append(float(x)), f(x))[1])
+        x, fx = (out.x, out.fun) if hasattr(out, "x") else out
+        sides.append((xs, float(x), float(fx)))
+    return sides
+
+
+def _assert_same_bits(sides):
+    (xs_a, x_a, f_a), (xs_b, x_b, f_b) = sides
+    as_bits = lambda v: np.array(v, dtype=float).view(np.int64).tolist()  # noqa: E731
+    assert as_bits(xs_a) == as_bits(xs_b)
+    assert as_bits([x_a, f_a]) == as_bits([x_b, f_b])
+
+
+def _noise(x):
+    """A deterministic white-noise function of x's bits."""
+    return np.random.default_rng(int(np.float64(x).view(np.int64)) & 0xFFFFFFFF).normal()
+
+
+class TestBrentBounded:
+    """gp._brent_bounded is scipy's bounded Brent, evaluation for evaluation."""
+
+    def test_random_smooth_functions(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            c = rng.normal(size=4)
+            lo, hi = sorted(rng.normal(scale=3.0, size=2))
+            _assert_same_bits(_brent_pair(
+                lambda x, c=c: c[0] * np.sin(c[1] * x) + c[2] * x * x + c[3] * x, lo, hi
+            ))
+
+    @pytest.mark.parametrize("f", [
+        lambda x: 1.0,
+        _noise,
+        lambda x: math.inf if x > 0.5 else (x - 0.2) ** 2,
+        lambda x: np.floor(8.0 * x) / 8.0,
+    ], ids=["flat", "noisy", "inf-right", "steps"])
+    def test_flat_noisy_and_infinite(self, f):
+        with np.errstate(invalid="ignore"):
+            _assert_same_bits(_brent_pair(f, 0.0, 1.0))
+
+    def test_reaches_maxfun(self):
+        # At x near 0 the tolerance is xatol / 3, so a tiny xatol keeps the
+        # interval shrinking until the evaluation cap.
+        sides = _brent_pair(abs, -1.0, 1.3, xatol=1e-300)
+        _assert_same_bits(sides)
+        assert len(sides[1][0]) == gp._MAXFUN == 500
+
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_fit_objective(self, monkeypatch, nu):
+        calls, brent = [], gp._brent_bounded
+
+        def spy(f, lo, hi, xatol):
+            calls.append(_brent_pair(f, lo, hi, xatol))
+            return brent(f, lo, hi, xatol)
+
+        monkeypatch.setattr(gp, "_brent_bounded", spy)
+        rng = np.random.default_rng(17)
+        for n in (3, 8, 20):
+            X = rng.uniform(0.0, math.pi, size=n)
+            fit(X, np.sin(2.0 * X) + 0.05 * rng.normal(size=n), nu=nu, nugget=1e-8,
+                domain=(0.0, math.pi))
+        assert len(calls) == 3
+        for sides in calls:
+            _assert_same_bits(sides)
 
 
 class TestNonFiniteObservations:

@@ -24,6 +24,7 @@ from mlasce.kernels import (
     chol_factor,
     chol_stack,
     corr_vector,
+    distances,
     matern_corr,
 )
 from oracles import corr_matrix, cov_matrix, matern
@@ -138,9 +139,65 @@ class TestMaternCorr:
         assert np.ndim(got) == 0
         assert got == matern_corr(np.array([0.83]), 2.5, 0.6)[0]
 
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    @pytest.mark.parametrize("shape", list(_distances()))
+    def test_out_is_bitwise_the_allocating_call(self, nu, shape):
+        r, lam = _distances()[shape]
+        want = matern_corr(r, nu, lam).view(np.int64)
+        buffer = np.full(want.shape, np.nan)
+        assert matern_corr(r, nu, lam, out=buffer) is buffer
+        assert np.array_equal(buffer.view(np.int64), want)
+        if np.ndim(lam) == 0:  # in place over the distances themselves
+            r = r.copy()
+            assert matern_corr(r, nu, lam, out=r) is r
+            assert np.array_equal(r.view(np.int64), want)
+
     def test_unsupported_nu_rejected(self):
         with pytest.raises(ValueError, match="unsupported"):
             matern_corr(np.ones(3), 2.0, 1.0)
+
+
+class TestDistances:
+    """distances is the numpy twin of scipy's euclidean cdist, bit for bit."""
+
+    @staticmethod
+    def _pairs(d, scale, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(40, d)) * scale
+        B = rng.normal(size=(33, d)) * scale
+        B[:4] = A[:4]  # duplicate rows
+        B[4:8] = A[4:8] * (1.0 + 2.0 ** -52)  # near-duplicate rows
+        B[8:10] = np.nextafter(A[8:10], np.inf)
+        return A, B
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-8, 1.0, 1e8, 1e160])
+    def test_bitwise_equal_to_cdist(self, d, scale):
+        A, B = self._pairs(d, scale, seed=d)
+        with np.errstate(over="ignore", under="ignore"):
+            for P, Q in ((A, B), (B, A), (A, A), (A[:1], B), (A, B[:1])):
+                got = distances(P, Q)
+                want = cdist(P, Q)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_symmetric(self, d):
+        # design._corr_gram evaluates each pair once and relies on
+        # d(a, b) == d(b, a) to fill the lower triangle.
+        rng = np.random.default_rng(40 + d)
+        A = rng.uniform(-1e3, 1e3, size=(57, d)) * np.exp(rng.normal(size=(57, 1)) * 5)
+        B = np.vstack([A[::-3], rng.uniform(size=(9, d))])
+        assert np.array_equal(distances(A, B).T.view(np.int64), distances(B, A).view(np.int64))
+        D = distances(A, A)
+        assert np.array_equal(D.view(np.int64), D.T.view(np.int64))
+        assert not np.any(np.diagonal(D))
+
+    def test_fills_and_returns_out(self):
+        A, B = self._pairs(2, 1.0, seed=7)
+        out = np.full((len(A), len(B)), np.nan)
+        assert distances(A, B, out=out) is out
+        assert np.array_equal(out.view(np.int64), cdist(A, B).view(np.int64))
 
 
 class TestCorrVector:

@@ -17,11 +17,13 @@ from scipy.optimize import minimize
 from mlasce.emulator import FidelityLadder, Level
 from mlasce.errors import InfeasibleError
 from mlasce.planner import (
+    _BUDGET_RTOL,
     MAX_PLAN_LEVELS,
     PlanParams,
     allocation_objective,
     bound_term,
     closed_form_allocation,
+    _round_counts,
     lower_bounds,
     solve_allocation,
 )
@@ -372,6 +374,59 @@ class TestRounding:
             plan = solve_allocation(params)
             assert np.all(plan.n_rounded >= 1)
             assert plan.n_rounded @ np.array(params.t) <= params.budget * (1 + 1e-9)
+
+
+def unit_step_rounding(n, t, budget):
+    """Reference rounding: the overspend repair one unit at a time."""
+    floors = np.maximum(np.floor(n), 1.0)
+    while floors @ t > budget * (1.0 + _BUDGET_RTOL):
+        adjustable = np.nonzero(floors > 1.0)[0]
+        if adjustable.size == 0:
+            break
+        floors[adjustable[np.argmax(t[adjustable])]] -= 1.0
+    for j in np.argsort(-(n - floors)):
+        if floors @ t + t[j] <= budget * (1.0 + _BUDGET_RTOL):
+            floors[j] += 1.0
+    return floors.astype(int)
+
+
+class TestRoundCounts:
+    def test_bisected_repair_matches_unit_steps(self):
+        # Counts below 1 are lifted to 1, often overspending; the repair
+        # cuts the dearest counts above 1, by bisection instead of unit steps.
+        rng = np.random.default_rng(8)
+        repaired = 0
+        for _ in range(1000):
+            L = int(rng.integers(1, 6))
+            t = np.sort(rng.uniform(0.01, 10.0, L)) * 10.0 ** rng.uniform(-3, 3)
+            n = 10.0 ** rng.uniform(-2, 3.0, L)
+            if rng.random() < 0.5:
+                n[rng.integers(L)] = rng.uniform(0.0, 1.0)
+            budget = float(n @ t) * rng.uniform(0.3, 1.2)
+            floors = np.maximum(np.floor(n), 1.0)
+            repaired += bool(floors @ t > budget * (1.0 + _BUDGET_RTOL))
+            got = _round_counts(n, t, budget)
+            assert got.dtype == int
+            np.testing.assert_array_equal(got, unit_step_rounding(n, t, budget))
+        assert repaired > 300
+
+    def test_large_repair_is_prompt(self):
+        # Lifting level 2 to 1 run overspends by 0.5, which unit steps of
+        # 1e-12 would repair in 5e11 iterations; bisection takes about 50.
+        t = np.array([1e-12, 1.0])
+        got = _round_counts(np.array([1e15, 0.5]), t, 1000.5)
+        limit = 1000.5 * (1.0 + _BUDGET_RTOL)
+        assert got[1] == 1 and 999_000_000_000_000 < got[0] < 10**15
+        assert got @ t <= limit < (got + [1, 0]) @ t
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 2.0**63, 1e300])
+    def test_count_that_int64_cannot_hold_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="level 2: run count .* 64-bit integer"):
+            _round_counts(np.array([3.0, bad]), np.array([1.0, 2.0]), 1e308)
+
+    def test_largest_int64_count_is_kept(self):
+        top = np.nextafter(2.0**63, 0.0)
+        assert _round_counts(np.array([top]), np.array([1.0]), 1e300).tolist() == [int(top)]
 
 
 class TestPerLevelSmoothness:
