@@ -277,12 +277,14 @@ def cmd_plan(args):
         budget=budget,
     )
     numerical = solve_allocation(params)
-    closed = None
+    closed = [None] * params.L
     if len(set(params.nu)) == 1:
         try:
-            closed = closed_form_allocation(params)
+            runs = closed_form_allocation(params).n_runs
+            # A count below one run is no plan: null, as with per-level nu.
+            closed = [float(c) if c >= 1.0 else None for c in runs]
         except ValueError:
-            closed = None
+            pass
     rows = []
     for i in range(params.L):
         rows.append(
@@ -292,7 +294,7 @@ def cmd_plan(args):
                 "t": float(params.t[i]),
                 "nu": "inf" if params.nu[i] == math.inf else float(params.nu[i]),
                 "n_numerical": float(numerical.n_runs[i]),
-                "n_closed_form": None if closed is None else float(closed.n_runs[i]),
+                "n_closed_form": closed[i],
                 "n_rounded": int(numerical.n_rounded[i]),
             }
         )

@@ -3,14 +3,11 @@
 The smoothness nu and the nugget are held fixed; the correlation length and
 the marginal variance are estimated by maximum likelihood. The variance is
 profiled out in closed form, leaving a search over log correlation length:
-a fixed log-uniform lattice, its correlation matrices factorized and
-half-solved as one stack in two batched numpy calls (or one by one with
-jitter escalation if any is not positive definite), then a bounded Brent
-refine around the best point (_brent_bounded, scipy's fminbound ported
-bit for bit, so importing the package loads no scipy.optimize).
+a log-uniform lattice (one stacked Cholesky of bordered matrices up to
+_BORDERED_N points), then a bounded Brent refine around its winner
+(scipy's fminbound ported bit for bit), compared on _profile's rounding.
 Posterior quantities use a cached Cholesky factor of the correlation
-matrix. fit and posterior_batch run their BLAS on one thread (see
-kernels).
+matrix; fit and posterior_batch run their BLAS on one thread (kernels).
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from .kernels import (
     as_design,
     check_nuggets,
     chol_factor,
-    chol_stack,
     corr_vector,
     distances,
     matern_corr,
@@ -40,11 +36,12 @@ _LAM_LO, _LAM_HI = 1e-2, 10.0
 _SIG_LO, _SIG_HI = 1e-8, 1e4
 
 # Log-lam search: _LATTICE points over the interior of a 10-point log-uniform
-# split of the box, in stacks of at most _STACK_ENTRIES floats; the Brent
-# refine stops at _XATOL (in log lam) or after _MAXFUN evaluations and must
-# beat the lattice by over _FTOL.
+# split of the box, scored as one bordered stack up to _BORDERED_N points
+# (above it, one dpotrf per point is faster); the Brent refine stops at
+# _XATOL (in log lam) or after _MAXFUN evaluations and must beat the
+# lattice winner by over _FTOL.
 _LATTICE = 36
-_STACK_ENTRIES = 1 << 20
+_BORDERED_N = 32
 _XATOL = 1e-5
 _MAXFUN = 500
 _FTOL = 1e-9
@@ -145,17 +142,37 @@ def _brent_bounded(f, lo, hi, xatol):
 
 
 def _profile(dist, y, nu, lam, nugget):
-    """Factor of R = corr(dist; nu, lam) + nugget*I, y^T R^{-1} y, log det R.
+    """Factor of R = corr(dist; nu, lam) + nugget*I, y^T R^{-1} y, log det R."""
+    R = matern_corr(dist, nu, lam)
+    R.flat[::R.shape[0] + 1] += nugget
+    fac = chol_factor(R, jitter0=nugget)
+    z = fac.solve_lower(y)
+    return fac, np.einsum("i,i->", z, z), fac.logdet
 
-    An array of lam gives one stack (LinAlgError if any R is not positive definite).
-    """
-    lam = np.asarray(lam, dtype=float)
-    R = matern_corr(dist, nu, lam[..., None, None])
-    idx = np.arange(dist.shape[0])
-    R[..., idx, idx] += nugget
-    fac = chol_factor(R, jitter0=nugget) if lam.ndim == 0 else chol_stack(R)
-    z = fac.solve_lower(y[:, None])[..., 0]
-    return fac, np.einsum("...i,...i->...", z, z), fac.logdet
+
+def _bordered_profile(dist, y, nu, lams, nugget):
+    """(y^T R^{-1} y, log det R) per lam, from one np.linalg.cholesky of the
+    stack [[R, y], [y^T, inf]], whose factors' last rows are (L^{-1} y)^T;
+    None if any R is not positive definite."""
+    n = y.size
+    B = np.empty((lams.size, n + 1, n + 1))
+    matern_corr(dist, nu, lams[:, None, None], out=B[:, :n, :n])
+    B[:, range(n), range(n)] += nugget
+    B[:, n, :n] = B[:, :n, n] = y
+    B[:, n, n] = math.inf
+    try:
+        L = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        return None
+    z = L[:, n, :n]
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)[:, :n]).sum(axis=1)
+    return np.einsum("ki,ki->k", z, z), logdet
+
+
+def _nll(q, logdet, n):
+    """2x negative profile log likelihood less 2*pi terms, sigma2 = q/n clipped."""
+    sigma2 = np.clip(q / n, _SIG_LO, _SIG_HI)
+    return q / sigma2 + n * np.log(sigma2) + logdet
 
 
 @dataclass(frozen=True)
@@ -214,7 +231,7 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     lattice (ties to the first point) scores the profiled likelihood of
     y / sd(y); Brent then refines between the best point's neighbours (at
     an end, out to the box bound, itself also tried), winning on a gain
-    above _FTOL.
+    above _FTOL over the best point rescored through _profile.
     """
     check_nuggets(nugget)
     X, y = _checked(X, y)
@@ -232,22 +249,20 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     ys = y / math.sqrt(v)
 
     def objective(loglam):
-        # 2x negative profile log likelihood of ys less 2*pi terms, per loglam.
+        # _nll of ys through _profile (dpotrf), inf if no jitter helps.
         try:
             _, q, logdet = _profile(dist, ys, nu, np.exp(loglam), nugget)
         except FactorizationError:
             return math.inf
-        except np.linalg.LinAlgError:
-            return np.array([objective(t) for t in loglam])
-        sigma2 = np.clip(q / n, _SIG_LO, _SIG_HI)
-        return q / sigma2 + n * np.log(sigma2) + logdet
+        return _nll(q, logdet, n)
 
     log_lo, log_hi = math.log(lam_lo), math.log(lam_hi)
     grid = np.linspace(*np.linspace(log_lo, log_hi, 10)[[1, 8]], _LATTICE)
-    per = max(1, _STACK_ENTRIES // (n * n))  # lattice points per stack
-    vals = np.concatenate([objective(grid[i:i + per]) for i in range(0, grid.size, per)])
+    stack = _bordered_profile(dist, ys, nu, np.exp(grid), nugget) if n <= _BORDERED_N else None
+    vals = [objective(t) for t in grid] if stack is None else _nll(*stack, n)
     k = int(np.argmin(vals))
-    best_val, best_loglam = float(vals[k]), float(grid[k])
+    # The winner rescored on Brent's route: every comparison is on one rounding.
+    best_val, best_loglam = objective(grid[k]), float(grid[k])
     if not np.isfinite(best_val):
         raise FactorizationError("every lattice point failed to factorize")
     # Brent's bracket: the best point's neighbours, or the box bound at an end.

@@ -13,7 +13,8 @@ Single factorizations and triangular solves call LAPACK dpotrf and dtrtrs
 directly: the GP matrices are tiny (a few to a few dozen rows), so scipy's
 per-call argument checks in cholesky and solve_triangular would cost more
 than the arithmetic. They are the routines those wrappers call, so the
-results are bitwise the same.
+results are bitwise the same. The one stacked factorisation, gp's bordered
+likelihood lattice, calls np.linalg.cholesky itself (see gp).
 
 Threads: the package's small-matrix BLAS and LAPACK calls run on one
 thread. OpenBLAS splits even small calls (a few dozen rows, or a
@@ -61,7 +62,7 @@ class KernelSpec:
     nu      smoothness, one of SUPPORTED_NU
     lam     correlation length, > 0 (input units)
     sigma2  marginal variance, >= 0 (output units squared)
-    nugget  relative diagonal jitter, >= 0 (the covariance matrix
+    nugget  relative diagonal jitter, in [0, 1) (the covariance matrix
             diagonal becomes sigma2 * (1 + nugget))
     """
 
@@ -83,10 +84,12 @@ class KernelSpec:
 
 
 def check_nuggets(nugget, tau2_s=0.0):
-    """ValueError unless the nugget and the MICE stabilizer tau2_s are finite and >= 0."""
+    """ValueError unless 0 <= nugget < 1 and the MICE stabilizer tau2_s is finite and >= 0."""
     for name, value in (("nugget", nugget), ("stabilizer tau2_s", tau2_s)):
         if not (np.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if nugget >= 1.0:
+        raise ValueError(f"nugget must be < 1 (noise below the signal variance), got {nugget!r}")
 
 
 def as_design(X):
@@ -180,13 +183,7 @@ def corr_vector(Xq, X, spec):
 
 
 class CholeskyFactor:
-    """Lower Cholesky factor of an SPD matrix plus the extra jitter used.
-
-    ``lower`` may also hold a (K, n, n) stack of factors (see chol_stack);
-    ``solve_lower`` then takes an (n, m) right-hand side, solves against
-    every factor in one batched call and returns (K, n, m), and ``logdet``
-    has shape (K,).
-    """
+    """Lower Cholesky factor of an SPD matrix plus the extra jitter used."""
 
     __slots__ = ("lower", "jitter")
 
@@ -200,14 +197,11 @@ class CholeskyFactor:
 
     def solve_lower(self, b):
         """Solve L z = b (half solve; useful for quadratic forms)."""
-        L = self.lower
-        if L.ndim == 3:
-            return np.linalg.solve(L, np.broadcast_to(b, L.shape[:1] + np.shape(b)))
-        return _trtrs(L, b, trans=0)
+        return _trtrs(self.lower, b, trans=0)
 
     @property
     def logdet(self):
-        return 2.0 * np.log(np.diagonal(self.lower, axis1=-2, axis2=-1)).sum(axis=-1)
+        return 2.0 * np.log(np.diagonal(self.lower)).sum()
 
 
 def _trtrs(L, b, trans):
@@ -266,15 +260,6 @@ def _square(A, in_place):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     return A
-
-
-def chol_stack(A):
-    """Cholesky-factorize a (K, n, n) stack of matrices in one call, no jitter.
-
-    Raises LinAlgError if any matrix in the stack is not positive definite;
-    callers fall back to chol_factor per matrix.
-    """
-    return CholeskyFactor(np.linalg.cholesky(A))
 
 
 @functools.cache

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,28 @@ class TestPlanCommand:
             for cell, key in zip(cells[1:6], ("h", "t", "nu", "n_numerical", "n_closed_form")):
                 assert (None if cell == "" else float(cell)) == row[key]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "change, nulls",
+        [({"budget": 105.0}, [False, False, True]), ({"alpha": 1e308}, [False, True, True])],
+        ids=["budget-105", "alpha-1e308"],
+    )
+    def test_closed_form_below_one_run_is_null(self, tmp_path, capsys, change, nulls, fmt):
+        # At budget 105 the closed form gives level 3 0.859 runs, and at
+        # alpha 1e308 levels 2 and 3 get 0.0: no count, so null in JSON and
+        # an empty CSV cell, as with per-level nu.
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, **change))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # alpha 1e308 overflows
+            assert main(["plan", "--config", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            closed = [row["n_closed_form"] for row in json.loads(out)["levels"]]
+        else:
+            closed = [line.split(",")[5] or None for line in out.split("\n")[1:-1]]
+        assert [c is None for c in closed] == nulls
+        assert all(float(c) >= 1.0 for c in closed if c is not None)
+
 
     @pytest.mark.parametrize(
         "change", [{"cost": 1e-320}, {"budget": 1e308}], ids=["tiny-cost", "huge-budget"]
@@ -336,6 +359,15 @@ class TestRunCommand:
         cfg = write_config(tmp_path, dict(TOY3_CONFIG, **{key: value}))
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert calls == []
+
+    @pytest.mark.parametrize("nugget", [1.0, 1e6])
+    def test_nugget_of_one_or_more_is_config_error(self, tmp_path, monkeypatch, capsys, nugget):
+        calls = []
+        monkeypatch.setattr("mlasce.cli.resolve_simulator", lambda entry: calls.append)
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, nugget=nugget))
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert calls == []
+        assert "nugget must be < 1" in capsys.readouterr().err
 
     def test_truth_on_2d_domain_fails_before_any_evaluation(self, tmp_path, monkeypatch):
         calls = []

@@ -623,6 +623,13 @@ class TestStabilizerValidation:
             mice_run(spy, (0.0, math.pi), 5, nu=2.5, seed=1, nugget=nugget)
         assert calls == []
 
+    @pytest.mark.parametrize("nugget", [1.0, 1e6])
+    def test_nugget_of_one_or_more_rejected_before_any_evaluation(self, nugget):
+        calls = []
+        with pytest.raises(ValueError, match="nugget must be < 1"):
+            mice_run(calls.append, (0.0, math.pi), 5, nu=2.5, seed=1, nugget=nugget)
+        assert calls == []
+
     def test_zero_stabilizer_accepted(self):
         model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 5, nu=2.5, seed=1, tau2_s=0.0)
         assert model.X.shape == (5, 1)

@@ -187,6 +187,20 @@ class TestMlasceRun:
             mlasce_run(ladder, budget=200.0, nu=2.5, nugget=nugget, seed=0, n_grid=41)
         assert calls == []
 
+    @pytest.mark.parametrize("nugget", [1.0, 1e6])
+    def test_rejects_nugget_of_one_or_more_before_any_run(self, nugget):
+        # tau2_s keeps no upper bound (its default is 1); the nugget, a
+        # fraction of each level's variance, must stay below 1.
+        calls = []
+        ladder = FidelityLadder(
+            levels=(Level(calls.append, cost=4.0, accuracy=1.0),
+                    Level(calls.append, cost=16.0, accuracy=0.5)),
+            domain=DOMAIN,
+        )
+        with pytest.raises(ValueError, match="nugget must be < 1"):
+            mlasce_run(ladder, budget=200.0, nu=2.5, nugget=nugget, seed=0, n_grid=41)
+        assert calls == []
+
     def test_exact_initialization_budget(self):
         em = mlasce_run(toy_ladder(), budget=104.0, nu=2.5, seed=0, n_grid=41)
         assert em.counts == [1, 1, 1]

@@ -76,6 +76,16 @@ class TestFit:
             fit(X, np.sin(X), nu=2.5, nugget=nugget)
         assert calls == []
 
+    @pytest.mark.parametrize("nugget", [1.0, 1e6])
+    def test_nugget_of_one_or_more_rejected_before_the_search(self, monkeypatch, nugget):
+        calls = []
+        profile = gp._profile
+        monkeypatch.setattr(gp, "_profile", lambda *a: calls.append(a) or profile(*a))
+        X = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="nugget must be < 1"):
+            fit(X, np.sin(X), nu=2.5, nugget=nugget)
+        assert calls == []
+
     def test_single_point_degenerate_rule(self):
         model = fit([[0.5]], [3.0], nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
         lo, hi = lambda_bounds(math.pi)
@@ -340,6 +350,34 @@ def profiled_nll(X, y, nu, lam, nugget):
     return -log_likelihood(X, y, KernelSpec(nu, lam, sigma2, nugget))
 
 
+def _search_events(monkeypatch):
+    """A list that records, in order, gp.fit's bordered lattice calls
+    ("stack", lams, result), its _profile calls ("profile", lam) and the
+    start of Brent ("brent",)."""
+    events = []
+    stack, profile, brent = gp._bordered_profile, gp._profile, gp._brent_bounded
+
+    def stack_spy(dist, y, nu, lams, nugget):
+        out = stack(dist, y, nu, lams, nugget)
+        events.append(("stack", lams, out))
+        return out
+
+    def profile_spy(dist, y, nu, lam, nugget):
+        events.append(("profile", lam))
+        return profile(dist, y, nu, lam, nugget)
+
+    monkeypatch.setattr(gp, "_bordered_profile", stack_spy)
+    monkeypatch.setattr(gp, "_profile", profile_spy)
+    monkeypatch.setattr(gp, "_brent_bounded", lambda *a: events.append(("brent",)) or brent(*a))
+    return events
+
+
+def _kinds_before_brent(events):
+    """The kinds of the events before Brent's start; a failed stack is "stack failed"."""
+    head = events[:events.index(("brent",))]
+    return [e[0] + (" failed" if e[0] == "stack" and e[2] is None else "") for e in head]
+
+
 class TestFitSearch:
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     @pytest.mark.parametrize("n", [2, 5, 15, 30])
@@ -359,57 +397,70 @@ class TestFitSearch:
         assert got <= min(scan) + 1e-6
 
     def test_stacked_cholesky_fallback(self, monkeypatch):
-        failures, chol_stack = [], gp.chol_stack
-
-        def spy(A):
-            try:
-                return chol_stack(A)
-            except np.linalg.LinAlgError:
-                failures.append(A.shape)
-                raise
-
-        monkeypatch.setattr(gp, "chol_stack", spy)
+        # At nu = inf and nugget 0 some bordered matrix of this design is not
+        # positive definite, so all 36 lattice points go through _profile,
+        # then the winner once more, and the fit still reruns bitwise.
+        events = _search_events(monkeypatch)
         X = np.linspace(0.0, 1.0, 12)
         y = np.cos(3.0 * X)
         a = fit(X, y, nu=math.inf, nugget=0.0, domain=(0.0, 1.0))
+        assert _kinds_before_brent(events) == ["stack failed"] + ["profile"] * 37
         b = fit(X, y, nu=math.inf, nugget=0.0, domain=(0.0, 1.0))
-        assert failures
         assert a.spec == b.spec
         np.testing.assert_array_equal(a.alpha, b.alpha)
         assert np.all(np.isfinite(a.alpha))
 
     def test_stacked_lattice_matches_per_slice(self, monkeypatch):
-        # Inside fit, each batched lattice half-solve agrees with the scalar
-        # triangular solve on each slice of the same factor stack, and stacks
-        # of one lattice point each give the same fitted spec and alpha.
-        # (The slices are held fixed because at nugget 1e-8 the lattice ends
-        # reach condition numbers near 1e9, where the stacked and the scalar
-        # Cholesky round apart by up to ~1e-9 relative in q.)
+        # Inside fit, each bordered factor's last row is the triangular
+        # solve of ys with its leading block, and scoring every lattice
+        # point through _profile instead gives the same fitted spec and
+        # alpha. (The slices are held fixed because at nugget 1e-8 the
+        # lattice ends reach condition numbers near 1e9, where numpy's and
+        # the scalar Cholesky round apart by up to ~1e-9 relative in q.)
         rng = np.random.default_rng(13)
         X = rng.uniform(0.0, math.pi, size=8)
         y = np.sin(X) + 0.1 * rng.normal(size=8)
-        profile, stacks = gp._profile, []
-
-        def spy(dist, ys, nu, lam, nugget):
-            out = profile(dist, ys, nu, lam, nugget)
-            if np.ndim(lam):
-                stacks.append((ys, out[0], out[1]))
-            return out
-
-        monkeypatch.setattr(gp, "_profile", spy)
+        cholesky, stacks = np.linalg.cholesky, []
+        monkeypatch.setattr(
+            np.linalg, "cholesky", lambda B: stacks.append((B.copy(), cholesky(B))) or stacks[-1][1]
+        )
         for nu in SUPPORTED_NU:
             stacks.clear()
-            batched = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
-            assert stacks
-            for ys, fac, q in stacks:
-                for k, L in enumerate(fac.lower):
-                    z = kernels.CholeskyFactor(np.asfortranarray(L)).solve_lower(ys)
-                    assert q[k] == pytest.approx(z @ z, rel=1e-12)
+            bordered = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+            (B, L), = stacks
+            ys = B[0, -1, :-1]
+            for Lk in L:
+                z = kernels.CholeskyFactor(np.asfortranarray(Lk[:-1, :-1])).solve_lower(ys)
+                assert Lk[-1, :-1] @ Lk[-1, :-1] == pytest.approx(z @ z, rel=1e-12)
             with monkeypatch.context() as m:
-                m.setattr(gp, "_STACK_ENTRIES", 1)
-                chunked = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
-            assert chunked.spec == batched.spec
-            np.testing.assert_array_equal(chunked.alpha, batched.alpha)
+                m.setattr(gp, "_BORDERED_N", 0)
+                per_point = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
+            assert per_point.spec == bordered.spec
+            np.testing.assert_array_equal(per_point.alpha, bordered.alpha)
+
+    def test_lattice_winner_rescored_before_brent(self, monkeypatch):
+        # The bordered stack picks the winner; _profile rescores it before
+        # Brent runs, so _FTOL compares values of one rounding route.
+        events = _search_events(monkeypatch)
+        rng = np.random.default_rng(13)
+        X = rng.uniform(0.0, math.pi, size=8)
+        fit(X, np.sin(X) + 0.1 * rng.normal(size=8), nu=2.5, nugget=1e-8,
+            domain=(0.0, math.pi))
+        (_, lams, out), (_, lam), brent = events[:3]
+        assert brent == ("brent",)
+        k = int(np.argmin(gp._nll(*out, 8)))
+        assert lam == pytest.approx(lams[k], rel=1e-15)
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_bordered_route_up_to_32_points(self, monkeypatch, n):
+        events = _search_events(monkeypatch)
+        X = np.linspace(0.0, math.pi, n)
+        fit(X, np.sin(2.0 * X), nu=2.5, nugget=1e-4, domain=(0.0, math.pi))
+        assert gp._BORDERED_N == 32
+        if n <= 32:
+            assert _kinds_before_brent(events) == ["stack", "profile"]
+        else:
+            assert _kinds_before_brent(events) == ["profile"] * 37
 
     def test_flat_likelihood_takes_first_lattice_point(self):
         model = fit([0.0, math.pi], [1.0, -1.0], nu=2.5, nugget=1e-8, domain=(0.0, math.pi))
@@ -425,15 +476,6 @@ class TestFitSearch:
         y = np.random.default_rng(3).normal(size=25)
         model = fit(X, y, nu=nu, nugget=1e-8, domain=(0.0, math.pi))
         assert model.spec.lam == pytest.approx(lambda_bounds(math.pi)[0], rel=1e-12)
-
-    def test_chunked_lattice_matches_single_stack(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        X = rng.uniform(0.0, math.pi, size=10)
-        y = np.sin(X) + 0.1 * rng.normal(size=10)
-        whole = fit(X, y, nu=1.5, nugget=1e-8, domain=(0.0, math.pi))
-        monkeypatch.setattr(gp, "_STACK_ENTRIES", 1)
-        chunked = fit(X, y, nu=1.5, nugget=1e-8, domain=(0.0, math.pi))
-        assert chunked.spec == whole.spec
 
 
 def _brent_pair(f, lo, hi, xatol=gp._XATOL, brent=gp._brent_bounded):

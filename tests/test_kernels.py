@@ -16,13 +16,12 @@ from scipy.spatial.distance import cdist
 
 from mlasce import kernels
 from mlasce.errors import FactorizationError
-from mlasce.gp import _profile
+from mlasce.gp import _bordered_profile, _profile
 from mlasce.kernels import (
     SUPPORTED_NU,
     CholeskyFactor,
     KernelSpec,
     chol_factor,
-    chol_stack,
     corr_vector,
     distances,
     matern_corr,
@@ -94,6 +93,13 @@ class TestMatern:
         with pytest.raises(ValueError):
             KernelSpec(nu=2.5, lam=1.0, sigma2=1.0, nugget=-1e-9)
 
+    @pytest.mark.parametrize("nugget", [1.0, 1e6])
+    def test_nugget_of_one_or_more_rejected(self, nugget):
+        # The nugget is relative to sigma2: at 1 the noise matches the signal.
+        with pytest.raises(ValueError, match="nugget must be < 1"):
+            KernelSpec(nu=2.5, lam=1.0, sigma2=1.0, nugget=nugget)
+        assert KernelSpec(nu=2.5, lam=1.0, sigma2=1.0, nugget=0.999).nugget == 0.999
+
 
 def _distances():
     rng = np.random.default_rng(31)
@@ -111,8 +117,8 @@ class TestMaternCorr:
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     @pytest.mark.parametrize("shape", list(_distances()))
     def test_input_unchanged_and_result_fresh_and_writeable(self, nu, shape):
-        # gp.fit reuses one distance matrix for every lattice stack and Brent
-        # call, and gp._profile adds the nugget to the result's diagonal.
+        # gp.fit reuses one distance matrix for its lattice stack and every
+        # Brent call, and gp._profile adds the nugget to the result's diagonal.
         r, lam = _distances()[shape]
         before = r.copy()
         got = matern_corr(r, nu, lam)
@@ -126,7 +132,7 @@ class TestMaternCorr:
 
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     def test_stack_is_bitwise_one_call_per_lambda(self, nu):
-        # gp._profile evaluates a lattice of lambdas as one (K, n, n) stack.
+        # gp._bordered_profile evaluates a lattice of lambdas as one stack.
         D, lams = _distances()["stack"]
         got = matern_corr(D, nu, lams)
         for k, lam in enumerate(lams[:, 0, 0]):
@@ -385,25 +391,6 @@ class TestCholFactorInPlace:
             chol_factor(A, refill=lambda: A)
 
 
-class TestCholStack:
-    def test_matches_per_matrix_factor(self):
-        rng = np.random.default_rng(11)
-        M = rng.normal(size=(4, 6, 6))
-        A = M @ M.transpose(0, 2, 1) + 6.0 * np.eye(6)
-        b = rng.normal(size=(6, 1))
-        stack = chol_stack(A)
-        for k in range(4):
-            fac = chol_factor(A[k])
-            np.testing.assert_allclose(stack.lower[k], fac.lower, atol=1e-12)
-            assert stack.logdet[k] == pytest.approx(fac.logdet, rel=1e-12)
-            np.testing.assert_allclose(stack.solve_lower(b)[k], fac.solve_lower(b), atol=1e-12)
-
-    def test_one_indefinite_matrix_fails_the_stack(self):
-        A = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
-        with pytest.raises(np.linalg.LinAlgError):
-            chol_stack(A)
-
-
 def scipy_chol_factor(A, jitter0):
     """Oracle: chol_factor's jitter escalation on top of scipy.linalg.cholesky."""
     base, extra = max(jitter0, 1e-12), 0.0
@@ -452,12 +439,13 @@ class TestLapackSolves:
 
     @pytest.mark.parametrize("nu", SUPPORTED_NU)
     def test_stacked_profile_matches_per_slice(self, nu):
+        # gp's bordered lattice stack against one _profile (dpotrf) per lam.
         rng = np.random.default_rng(23)
         X = rng.uniform(0.0, 1.0, size=(9, 2))
         y = rng.normal(size=9)
         dist = np.linalg.norm(X[:, None] - X[None], axis=-1)
         lams = np.exp(np.linspace(np.log(0.05), np.log(0.8), 12))
-        _, q, logdet = _profile(dist, y, nu, lams, 1e-8)
+        q, logdet = _bordered_profile(dist, y, nu, lams, 1e-8)
         assert q.shape == logdet.shape == lams.shape
         for k, lam in enumerate(lams):
             fac, q1, logdet1 = _profile(dist, y, nu, lam, 1e-8)

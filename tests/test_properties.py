@@ -4,15 +4,22 @@ Examples are drawn deterministically (``derandomize``), so a run of the
 suite is repeatable; each property still sees a broad spread of inputs.
 """
 
+import json
+import math
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mlasce import kernels
+from mlasce.artifact import emulator_to_doc, load_artifact, save_artifact
 from mlasce.design import mice_scores
+from mlasce.emulator import FidelityLadder, Level, mlasce_run, predict_batch
 from mlasce.errors import FactorizationError
 from mlasce.gp import GPModel, posterior_batch
 from mlasce.kernels import SUPPORTED_NU, KernelSpec, chol_factor
@@ -128,3 +135,61 @@ def test_mice_scores_within_conditional_variance_bounds(cands, X, nu, lam, sigma
     scores = mice_scores(model, cands, tau_bar)
     assert np.all(scores >= num / ((1.0 + tau_bar) * sigma2) * (1.0 - 1e-12))
     assert np.all(scores <= num / (tau_bar * sigma2) * (1.0 + 1e-12))
+
+
+RUNS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _simulator(level):
+    """A smooth level-dependent function of a point in [0, pi]^d."""
+    return lambda x: float(np.sum(np.sin((level + 1.0) * x))) + 0.5 ** level * float(x[0])
+
+
+@st.composite
+def run_args(draw):
+    """(ladder, mlasce_run keyword arguments) for a small random run."""
+    L = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 2))
+    costs = np.cumsum(draw(arrays(float, L, elements=st.floats(0.5, 8.0))))
+    ladder = FidelityLadder(
+        levels=tuple(Level(_simulator(l), float(c), 0.5 ** l) for l, c in enumerate(costs)),
+        domain=(np.zeros(d), np.full(d, math.pi)),
+    )
+    increments = costs + np.r_[0.0, costs[:-1]]
+    # From the opening cost (one run per level) to about 15 picks more.
+    budget = float(increments.sum() + draw(st.floats(0.0, 15.0)) * increments.mean())
+    weights = draw(st.none() | arrays(float, L, elements=st.floats(0.1, 10.0)))
+    return ladder, dict(
+        budget=budget,
+        nu=draw(st.lists(st.sampled_from(SUPPORTED_NU), min_size=L, max_size=L)),
+        a=None if weights is None else weights.tolist(),
+        seed=draw(st.integers(0, 2 ** 16)),
+        n_grid=draw(st.integers(11, 41)),
+    )
+
+
+@RUNS
+@given(run_args())
+def test_run_invariants(case):
+    # The paper's run invariants on drawn ladders: the budget holds, the
+    # ledger accounts for every run, no level repeats a point, a rerun is
+    # the same document, and a saved artifact predicts as the run does.
+    ladder, kwargs = case
+    em = mlasce_run(ladder, **kwargs)
+    assert em.spent <= kwargs["budget"] + 1e-9  # _pick's affordability slack
+    assert math.fsum(e.cost for e in em.ledger) == pytest.approx(em.spent, rel=1e-9)
+    assert [sum(e.level == lv.level for e in em.ledger) for lv in em.levels] == em.counts
+    for lv in em.levels:
+        xs = [e.x for e in em.ledger if e.level == lv.level]
+        assert len(set(xs)) == len(xs)
+        assert np.unique(lv.model.X, axis=0).shape[0] == lv.model.n
+    doc = json.dumps(emulator_to_doc(em), sort_keys=True)
+    assert json.dumps(emulator_to_doc(mlasce_run(ladder, **kwargs)), sort_keys=True) == doc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        save_artifact(em, path)
+        loaded = load_artifact(path)
+    d = ladder.domain[0].size
+    xq = np.random.default_rng(kwargs["seed"]).uniform(0.0, math.pi, size=(25, d))
+    for got, want in zip(predict_batch(loaded, xq), predict_batch(em, xq)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
