@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,6 +330,10 @@ def run_suite(suite, method, budgets, seeds, nu=None, n_grid=101, workers=1):
         for s in seeds
     ]
     if workers and workers > 1:
+        # Imported here: concurrent.futures.process costs every start-up
+        # about 20 ms, and serial sweeps never use it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(c) for c in cells]

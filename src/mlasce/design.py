@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import CandidatesExhausted, FactorizationError, SimulatorError
 from .gp import GPModel, fit, posterior_batch
@@ -40,6 +39,7 @@ from .kernels import (
     chol_factor,
     corr_vector,
     distances,
+    lapack,
     matern_corr,
 )
 

@@ -16,6 +16,16 @@ than the arithmetic. They are the routines those wrappers call, so the
 results are bitwise the same. The one stacked factorisation, gp's bordered
 likelihood lattice, calls np.linalg.cholesky itself (see gp).
 
+This module is the package's one source of LAPACK: ``lapack`` is scipy's
+f2py extension scipy.linalg._flapack, the module whose dpotrf, dtrtrs and
+dtrtri scipy.linalg.lapack re-exports (the very same objects). It is
+loaded from scipy's linalg directory without running scipy.linalg's
+package __init__, which would also import scipy's array-API shim and,
+through its ``from numpy import *``, numpy.f2py and numpy.testing: about
+0.3 s of every start-up for three routines. Either import order shares
+one module: a scipy.linalg imported first has put its _flapack in
+sys.modules, which is reused, and one imported later finds this one there.
+
 Threads: the package's small-matrix BLAS and LAPACK calls run on one
 thread. OpenBLAS splits even small calls (a few dozen rows, or a
 matrix-vector product over 10,001 rows) across its threads, and the idle
@@ -34,13 +44,16 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
+from numpy.linalg import LinAlgError
 
 from .errors import FactorizationError
 
@@ -53,6 +66,26 @@ _JITTER_FLOOR = 1e-12
 _JITTER_MAX = 1e-4
 # Entries per row block of corr_vector: 256 KB of float64.
 _CROSS_ENTRIES = 1 << 15
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, without running scipy.linalg's package import."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "linalg") for p in scipy.__path__]
+    )
+    if spec is None:
+        raise ImportError(f"no {name} under {list(scipy.__path__)}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _load_flapack()
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,16 @@ class PlanParams:
             raise ValueError("smoothness values must be positive")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("scale exponent must be positive")
+        # Each level's log weight 2 alpha log|h_l - h_(l-1)| must be a number:
+        # 2 alpha overflows to inf past about 9e307, and inf * log 1 is nan.
+        if not (
+            self.alpha > 0
+            and all(math.isfinite(2.0 * self.alpha * math.log(g)) for g in self.gaps())
+        ):
+            raise ValueError(
+                "scale exponent alpha must be positive and keep 2 alpha "
+                f"log|h_l - h_(l-1)| finite on every level, got {self.alpha!r}"
+            )
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget!r}")
         if self.budget < sum(t):

@@ -255,18 +255,13 @@ class TestPlanCommand:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
-        "change, nulls",
-        [({"budget": 105.0}, [False, False, True]), ({"alpha": 1e308}, [False, True, True])],
-        ids=["budget-105", "alpha-1e308"],
+        "change, nulls", [({"budget": 105.0}, [False, False, True])], ids=["budget-105"]
     )
     def test_closed_form_below_one_run_is_null(self, tmp_path, capsys, change, nulls, fmt):
-        # At budget 105 the closed form gives level 3 0.859 runs, and at
-        # alpha 1e308 levels 2 and 3 get 0.0: no count, so null in JSON and
-        # an empty CSV cell, as with per-level nu.
+        # At budget 105 the closed form gives level 3 0.859 runs: no count,
+        # so null in JSON and an empty CSV cell, as with per-level nu.
         cfg = write_config(tmp_path, dict(TOY3_CONFIG, **change))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # alpha 1e308 overflows
-            assert main(["plan", "--config", cfg, "--format", fmt]) == 0
+        assert main(["plan", "--config", cfg, "--format", fmt]) == 0
         out = capsys.readouterr().out
         if fmt == "json":
             closed = [row["n_closed_form"] for row in json.loads(out)["levels"]]
@@ -275,6 +270,18 @@ class TestPlanCommand:
         assert [c is None for c in closed] == nulls
         assert all(float(c) >= 1.0 for c in closed if c is not None)
 
+
+    @pytest.mark.parametrize("alpha", [1e308, math.inf], ids=["1e308", "Infinity"])
+    def test_overflowing_alpha_exits_2_naming_alpha(self, tmp_path, capsys, alpha):
+        # 2 alpha overflows to inf (json writes math.inf as Infinity), and
+        # level 1's 2 alpha log 1 would be nan: rejected before any
+        # arithmetic, so no RuntimeWarning and nothing on stdout.
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, alpha=alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["plan", "--config", cfg]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "alpha" in err
 
     @pytest.mark.parametrize(
         "change", [{"cost": 1e-320}, {"budget": 1e308}], ids=["tiny-cost", "huge-budget"]

@@ -150,6 +150,13 @@ class TestSolveAllocation:
         with pytest.raises(ValueError, match="finite"):
             PlanParams(h=(1.0, 0.5), t=(1.0, 10.0), nu=2.5, d=1, alpha=1.0, budget=budget)
 
+    @pytest.mark.parametrize("alpha", [1e308, math.inf, math.nan, 0.0, -1.0])
+    def test_alpha_not_positive_or_overflowing(self, alpha):
+        # 1e308 is finite, but 2 alpha is not, and level 1's 2 alpha log 1
+        # would be inf * 0 = nan.
+        with pytest.raises(ValueError, match="alpha"):
+            PlanParams(h=(1.0, 0.5), t=(1.0, 10.0), nu=2.5, d=1, alpha=alpha, budget=50.0)
+
     def test_never_loses_to_rounded_closed_form(self):
         params = PlanParams(**TABLE)
         plan = solve_allocation(params)
