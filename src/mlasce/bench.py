@@ -21,6 +21,7 @@ from .design import DEFAULT_TAU2
 from .emulator import FidelityLadder, Level, mlasce_run, predict_batch
 from .errors import BudgetError, InfeasibleError
 from .gp import fit, posterior_batch
+from .planner import _COUNT_LIMIT
 
 log = logging.getLogger(__name__)
 
@@ -218,8 +219,13 @@ def nested_baseline_designs(suite, budget, seed):
     """
     props = np.asarray(suite.baseline_proportions, dtype=float)
     unit = float(props @ np.asarray(suite.f_costs))
-    scale = budget / unit
-    sizes = np.floor(props * scale).astype(int)
+    sizes = np.floor(props * (budget / unit))
+    if not np.all(np.isfinite(sizes) & (sizes < _COUNT_LIMIT)):
+        raise ValueError(
+            f"budget {budget} gives baseline design sizes {sizes.tolist()} "
+            "that do not fit a 64-bit integer"
+        )
+    sizes = sizes.astype(int)
     if sizes[-1] < 1:
         raise InfeasibleError(
             f"budget {budget} cannot place one point at the top level"

@@ -34,7 +34,7 @@ from .errors import (
     MlasceError,
     SimulatorError,
 )
-from .kernels import SUPPORTED_NU
+from .kernels import check_nu
 from .planner import PlanParams, closed_form_allocation, solve_allocation
 
 DEFAULT_TIMEOUT = 300.0
@@ -173,7 +173,7 @@ class RunConfig:
         try:
             lo, hi = domain
             lo, hi = domain_arrays((lo, hi))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad domain bounds {domain!r}: {exc}") from None
         self.domain = (lo, hi)
         self.budget = _number(doc, "budget", 0.0, float)
@@ -210,10 +210,9 @@ class RunConfig:
                 self.nus.append(
                     math.inf if nu == "inf" else _number(entry, "nu", 2.5, float)
                 )
-            except (KeyError, TypeError, ConfigError) as exc:
+                check_nu(self.nus[-1])
+            except (KeyError, TypeError, ValueError, ConfigError) as exc:
                 raise ConfigError(f"level {i + 1}: {exc}") from None
-            if self.nus[-1] not in SUPPORTED_NU:
-                raise ConfigError(f"level {i + 1}: nu must be one of {SUPPORTED_NU}")
         try:
             self.ladder = FidelityLadder(levels=tuple(built), domain=self.domain)
         except ValueError as exc:
@@ -412,7 +411,16 @@ def cmd_predict(args):
     emulator = load_artifact(args.artifact)
     X = _read_points(args.points, emulator.levels[0].model.dim)
     mean, var = predict_batch(emulator, X)
-    _emit(_prediction_csv(X, mean, np.sqrt(np.maximum(var, 0.0))), args.out)
+    sd = np.sqrt(np.maximum(var, 0.0))
+    # A far point (a kernel distance past about 1e154) or an artifact with
+    # extreme hyperparameters can overflow; no nan or inf is printed.
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if bad.size:
+        raise ConfigError(
+            f"{args.points}: the prediction at point {bad[0] + 1}, "
+            f"x={X[bad[0]].tolist()}, is not finite"
+        )
+    _emit(_prediction_csv(X, mean, sd), args.out)
     return EXIT_OK
 
 

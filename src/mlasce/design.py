@@ -35,6 +35,7 @@ from .gp import GPModel, fit, posterior_batch
 from .kernels import (
     _blas_threads,
     as_design,
+    check_nu,
     check_nuggets,
     chol_factor,
     corr_vector,
@@ -71,6 +72,8 @@ def domain_arrays(domain):
         raise ValueError("domain bounds must be finite")
     if not np.all(hi > lo):
         raise ValueError("domain is empty: every upper bound must exceed its lower bound")
+    if not np.isfinite(np.sum(np.square(hi - lo))):
+        raise ValueError("domain bounds are too far apart: squared distances overflow")
     return lo, hi
 
 
@@ -106,6 +109,21 @@ def generate_grid(domain, n_grid, seed):
             offs = rng.uniform(size=n_grid)
             pts[:, j] = lo[j] + (perm + offs) / n_grid * (hi[j] - lo[j])
     return CandidateSet(grid=pts, cand=np.arange(len(pts)))
+
+
+def _int_arg(name, value):
+    """value as a plain int; a bool or a non-integer (even 3.0) is a
+    ValueError naming the argument. numpy integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _design_stream(domain, n_grid, seq):
+    """The candidate grid and the opening-point generator of one sequential
+    design, from two children spawned off the SeedSequence seq."""
+    grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in seq.spawn(2))
+    return generate_grid(domain, n_grid, grid_seed), np.random.default_rng(init_seed)
 
 
 def _corr_gram(pts, spec, diag_add):
@@ -283,19 +301,21 @@ def mice_run(
     fixed (no refitting); otherwise the correlation length and variance
     are re-estimated after every evaluation. Returns the final GPModel,
     whose X and y are the evaluated design. An n_target above n_grid
-    raises CandidatesExhausted before any simulator call.
+    raises CandidatesExhausted before any simulator call; so does every
+    other invalid input, as a ValueError (seed, n_target, n_grid and
+    n_initial must be integers).
     """
-    n_initial = min(n_initial, n_target)
+    n_target = _int_arg("n_target", n_target)
+    n_initial = min(_int_arg("n_initial", n_initial), n_target)
     if n_initial < 1:
         raise ValueError("need at least one initial point")
+    check_nu(nu)
     check_nuggets(nugget, tau2_s)
+    n_grid = _int_arg("n_grid", n_grid)
     if n_target > n_grid:
         raise CandidatesExhausted(f"n_target={n_target} exceeds n_grid={n_grid}")
     tau_bar = max(nugget, tau2_s)
-    ss = np.random.SeedSequence(seed)
-    grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in ss.spawn(2))
-    cands = generate_grid(domain, n_grid, grid_seed)
-    rng = np.random.default_rng(init_seed)
+    cands, rng = _design_stream(domain, n_grid, np.random.SeedSequence(_int_arg("seed", seed)))
 
     init_idx = np.sort(rng.choice(len(cands.grid), size=n_initial, replace=False))
     X = cands.grid[init_idx].copy()

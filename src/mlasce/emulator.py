@@ -22,14 +22,15 @@ from .design import (
     DEFAULT_TAU2,
     DEFAULT_TAU2_S,
     CandidateSet,
+    _design_stream,
     _evaluate,
     _first_max,
+    _int_arg,
     _select,
-    generate_grid,
 )
 from .errors import BudgetError, SimulatorError
 from .gp import GPModel, _unit_residual_var, fit, posterior_batch, rkhs_norm_sq
-from .kernels import SUPPORTED_NU, check_nuggets, corr_vector
+from .kernels import check_nu, check_nuggets, corr_vector
 from .planner import check_ladder
 
 
@@ -195,13 +196,6 @@ def _extend(em, lv, x, chosen, value, nu, nugget, iteration):
     )
 
 
-def _seed_int(s):
-    """s as a plain int; a bool or a non-integer (even 3.0) is a ValueError."""
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {s!r}")
-    return int(s)
-
-
 def mlasce_run(
     ladder,
     budget,
@@ -228,16 +222,19 @@ def mlasce_run(
     deltas = sims[:1] + [_difference(hi, lo) for hi, lo in zip(sims[1:], sims)]
     t = [0.0] + [lv.cost for lv in ladder.levels]
     costs = [t[l + 1] + t[l] for l in range(L)]
-    nus = list(np.broadcast_to(nu, (L,)).astype(float))
+    nus = np.broadcast_to(nu, (L,)).astype(float).tolist()
     for v in nus:
-        if v not in SUPPORTED_NU:
-            raise ValueError(f"unsupported smoothness {v!r}")
+        check_nu(v)
     weights = list(costs) if a is None else [float(w) for w in np.broadcast_to(a, (L,))]
-    if not all(math.isfinite(w) and w > 0.0 for w in weights):
-        raise ValueError(f"weights must be finite and positive, got {weights}")
+    # Each score and exploration floor is scaled by weight / cost.
+    if not all(math.isfinite(w / c) and w > 0.0 for w, c in zip(weights, costs)):
+        raise ValueError(
+            f"weights must be positive, with finite weight / cost ratios, got {weights}"
+        )
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget!r}")
     check_nuggets(nugget, tau2_s)
+    n_grid = _int_arg("n_grid", n_grid)
     tau_bar = max(nugget, tau2_s)
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
@@ -248,10 +245,10 @@ def mlasce_run(
     # seed may be a single integer (per-level streams are spawned from it)
     # or one integer per level; it is kept as plain ints for the artifact.
     if np.ndim(seed) == 0:
-        seed = _seed_int(seed)
+        seed = _int_arg("seed", seed)
         children = np.random.SeedSequence(seed).spawn(L)
     else:
-        seed = [_seed_int(s) for s in seed]
+        seed = [_int_arg("seed", s) for s in seed]
         children = [np.random.SeedSequence(s) for s in seed]
         if len(children) != L:
             raise ValueError(f"expected {L} per-level seeds, got {len(children)}")
@@ -260,9 +257,8 @@ def mlasce_run(
     )
     try:
         for i in range(L):
-            grid_seed, init_seed = (int(c.generate_state(1)[0]) for c in children[i].spawn(2))
-            cands = generate_grid(ladder.domain, n_grid, grid_seed)
-            start = int(np.random.default_rng(init_seed).integers(len(cands.grid)))
+            cands, rng = _design_stream(ladder.domain, n_grid, children[i])
+            start = int(rng.integers(len(cands.grid)))
             lv = LevelState(i + 1, None, costs[i], weights[i], cands=cands)
             em.levels.append(lv)
             x = cands.grid[start].copy()

@@ -105,15 +105,18 @@ class KernelSpec:
     nugget: float = 0.0
 
     def __post_init__(self):
-        if self.nu not in SUPPORTED_NU:
-            raise ValueError(
-                f"nu={self.nu!r} unsupported; choose one of {SUPPORTED_NU}"
-            )
+        check_nu(self.nu)
         if not (np.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"correlation length must be positive, got {self.lam!r}")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ValueError(f"variance must be nonnegative, got {self.sigma2!r}")
         check_nuggets(self.nugget)
+
+
+def check_nu(nu):
+    """ValueError unless the smoothness nu is one of SUPPORTED_NU."""
+    if nu not in SUPPORTED_NU:
+        raise ValueError(f"nu={nu!r} unsupported; choose one of {SUPPORTED_NU}")
 
 
 def check_nuggets(nugget, tau2_s=0.0):
@@ -168,8 +171,7 @@ def matern_corr(r, nu, lam, out=None):
     Each closed form keeps its operation order, evaluated in place with at
     most two temporaries, so ``out`` changes no bit of the result.
     """
-    if nu not in SUPPORTED_NU:
-        raise ValueError(f"nu={nu!r} unsupported; choose one of {SUPPORTED_NU}")
+    check_nu(nu)
     s = np.divide(r, lam, out=out)  # u = r / lam
     scalar = s.ndim == 0
     if scalar:

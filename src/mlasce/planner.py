@@ -25,6 +25,12 @@ _BUDGET_RTOL = 1e-9
 _COUNT_LIMIT = 2.0**63
 _GRID_POINTS = 64
 _MAX_ITERS = 100
+# log of the float64 maximum, less a hair: a rising-branch iterate v keeps
+# a / e^v at most e^_LOG_MAX, a finite number.
+_LOG_MAX = math.log(np.finfo(float).max) - 1e-6
+# Gap weights |h_l - h_(l-1)|^(2 alpha) must stay above e^-_LOG_WEIGHT_MIN,
+# well inside the normal float64 range.
+_LOG_WEIGHT_MIN = 700.0
 # The enumeration's time and memory grow as L 2^L: about 3 s and 160 MB
 # at 12 levels, 14 s and 450 MB at 14.
 MAX_PLAN_LEVELS = 12
@@ -75,15 +81,18 @@ class PlanParams:
             raise ValueError("smoothness values must be positive")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
-        # Each level's log weight 2 alpha log|h_l - h_(l-1)| must be a number:
-        # 2 alpha overflows to inf past about 9e307, and inf * log 1 is nan.
+        # Each level's log weight 2 alpha log|h_l - h_(l-1)| must be a number
+        # (2 alpha overflows to inf past about 9e307, and inf * log 1 is nan)
+        # whose weight neither closed_form_allocation nor the KKT search
+        # (see _branch_roots) pushes out of the float64 range.
         if not (
             self.alpha > 0
-            and all(math.isfinite(2.0 * self.alpha * math.log(g)) for g in self.gaps())
+            and all(2.0 * self.alpha * math.log(g) >= -_LOG_WEIGHT_MIN for g in self.gaps())
         ):
             raise ValueError(
-                "scale exponent alpha must be positive and keep 2 alpha "
-                f"log|h_l - h_(l-1)| finite on every level, got {self.alpha!r}"
+                "scale exponent alpha must be positive and keep every level's "
+                f"|h_l - h_(l-1)|^(2 alpha) at least e^-{_LOG_WEIGHT_MIN:g}, "
+                f"got {self.alpha!r}"
             )
         if not math.isfinite(self.budget):
             raise ValueError(f"budget must be finite, got {self.budget!r}")
@@ -164,11 +173,14 @@ def _branch_roots(a, logc, y, x, rising, active):
     v = log(a u - 1/2), which maps the rising branch onto the whole line.
     log phi is concave in both, so after the first step every iterate sits
     on the far side of the root from the peak and moves to it
-    monotonically. Returns the final x, u and dlog phi/du; inactive
-    elements keep their x.
+    monotonically. That first step can overshoot far down the rising
+    branch, so rising iterates stop where a / s would overflow; below
+    there u = (s + 1/2) / a is 1 / (2a) to the last bit anyway. Returns
+    the final x, u and dlog phi/du; inactive elements keep their x.
     """
+    v_min = np.log(a) - _LOG_MAX
     for _ in range(_MAX_ITERS):
-        s = np.where(rising, np.exp(x), a * x - 0.5)
+        s = np.where(rising, np.exp(np.where(rising, x, 0.0)), a * x - 0.5)
         u = np.where(rising, (s + 0.5) / a, x)
         psi, dpsi = _log_gain(a, logc, u, s)
         slope = np.where(rising, dpsi * s / a, dpsi)
@@ -177,7 +189,7 @@ def _branch_roots(a, logc, y, x, rising, active):
         # log phi is near the precision psi is evaluated to.
         if np.all((np.abs(psi - y) <= 1e-13) | (np.abs(step) <= 1e-15 * (1.0 + np.abs(x)))):
             break
-        x = x - step
+        x = np.where(rising, np.maximum(x - step, v_min), x - step)
     return x, u, dpsi
 
 
@@ -227,7 +239,8 @@ def _kkt_points(a, logc, t, lb, T):
     floor_cost = (~free) @ (t * lb)
     spend = fall @ tn[0] + rise @ tn[1] + floor_cost[:, None]
     valid = grid <= np.where(free, cap, np.inf).min(axis=1)[:, None]
-    g = spend - T
+    # Signs, not g itself: a product of two large spends can overflow.
+    g = np.sign(spend - T)
     ci, gi = np.nonzero(valid[:, :-1] & valid[:, 1:] & (g[:, :-1] * g[:, 1:] <= 0.0))
 
     free, rising = free[ci], rise[ci]

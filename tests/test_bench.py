@@ -2,6 +2,8 @@
 baseline and sweep bookkeeping."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,16 @@ class TestAr1Baseline:
     def test_infeasible_budget_raises(self):
         with pytest.raises(InfeasibleError):
             nested_baseline_designs(TOY3, 100.0, seed=0)
+
+    @pytest.mark.parametrize("budget", [1e30, math.inf, -math.inf, math.nan])
+    def test_sizes_beyond_int64_raise_naming_the_budget(self, budget):
+        # Cast unchecked, 1e30 gave negative sizes (an invalid cast) and a
+        # false "cannot place one point at the top level".
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            message = f"budget {budget} gives baseline design sizes"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                nested_baseline_designs(TOY3, budget, seed=1)
 
 
 class TestRunCell:

@@ -92,6 +92,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path, doc))
 
+    def test_unsupported_nu_message_names_the_level(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][1]["nu"] = 2.0
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: level 2: nu=2.0 unsupported; choose one of (0.5, 1.5, 2.5, 3.5, inf)\n"
+        )
+
     def test_truth_fn_matches_scalar_simulator(self, tmp_path):
         # Reference: one scalar simulator call per point. Scalar and array
         # powers round differently in toy5's bumps, hence an absolute 2 eps.
@@ -185,7 +193,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["run", "plan"])
     @pytest.mark.parametrize(
-        "domain", [[[0.0, 0.0], [1.0]], [1.0, 0.0], [0.0, math.inf]]
+        "domain",
+        [
+            [[0.0, 0.0], [1.0]],
+            [1.0, 0.0],
+            [0.0, math.inf],
+            # Too large for a float (an OverflowError), and squared
+            # distances that overflow (a nan MICE score, then an IndexError).
+            [0.0, 10**400],
+            [[0.0, 0.0], [1.0, 1e300]],
+            [-1e308, 1e308],
+        ],
     )
     def test_bad_domain_bounds_exit_2(self, tmp_path, capsys, command, domain):
         cfg = write_config(tmp_path, dict(TABLE_CONFIG, domain=domain))
@@ -271,10 +289,13 @@ class TestPlanCommand:
         assert all(float(c) >= 1.0 for c in closed if c is not None)
 
 
-    @pytest.mark.parametrize("alpha", [1e308, math.inf], ids=["1e308", "Infinity"])
+    @pytest.mark.parametrize(
+        "alpha", [1e308, math.inf, 1e3, 1e10], ids=["1e308", "Infinity", "1e3", "1e10"]
+    )
     def test_overflowing_alpha_exits_2_naming_alpha(self, tmp_path, capsys, alpha):
         # 2 alpha overflows to inf (json writes math.inf as Infinity), and
-        # level 1's 2 alpha log 1 would be nan: rejected before any
+        # level 1's 2 alpha log 1 would be nan; from about 252 a gap weight
+        # |h_l - h_(l-1)|^(2 alpha) falls below e^-700. Rejected before any
         # arithmetic, so no RuntimeWarning and nothing on stdout.
         cfg = write_config(tmp_path, dict(TOY3_CONFIG, alpha=alpha))
         with warnings.catch_warnings():
@@ -282,6 +303,17 @@ class TestPlanCommand:
             assert main(["plan", "--config", cfg]) == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and "alpha" in err
+
+    @pytest.mark.parametrize("alpha", [150.0, 200.0])
+    def test_large_alpha_plans_without_overflow(self, tmp_path, capsys, alpha):
+        # Gap weights down to e^-555 on the toy3 ladder: the KKT search
+        # overflowed from alpha 150.
+        cfg = write_config(tmp_path, dict(TOY3_CONFIG, alpha=alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["plan", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["levels"]
+        assert [row["n_rounded"] for row in rows] == [36, 2, 1]
 
     @pytest.mark.parametrize(
         "change", [{"cost": 1e-320}, {"budget": 1e308}], ids=["tiny-cost", "huge-budget"]
@@ -565,6 +597,21 @@ class TestPredictErrors:
         assert capsys.readouterr() == ("", f"error: {pts}:{message}\n")
 
 
+class TestPredictNonFinite:
+    @pytest.mark.parametrize("x", ["1e200", "-1e300"])
+    def test_far_point_exits_2(self, tmp_path, capsys, small_artifact, x):
+        # The squared distance overflows, and the Matern polynomial times
+        # exp(-inf) is nan: no nan is printed.
+        pts = tmp_path / "points.txt"
+        pts.write_text(f"1.0\n{x}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["predict", "--artifact", str(small_artifact), "--points", str(pts)])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"the prediction at point 2, x=[{float(x)!r}], is not finite" in err
+
+
 class TestParser:
     def test_built_once_for_successive_commands(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TABLE_CONFIG)
@@ -794,6 +841,15 @@ class TestBenchCommand:
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2
+
+    def test_budget_beyond_int64_baseline_exits_2(self, tmp_path, capsys):
+        argv = ["bench", "--suite", "toy3", "--budgets", "1e30", "--seeds", "1",
+                "--methods", "ar1_baseline", "--workers", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "budget 1e+30 gives baseline design sizes" in err
 
     def test_module_entry_point(self, tmp_path):
         cfg = write_config(tmp_path, TABLE_CONFIG)

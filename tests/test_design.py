@@ -5,6 +5,7 @@ rebuilds every numerator and denominator with plain dense numpy algebra.
 """
 
 import math
+import re
 import sys
 import tracemalloc
 
@@ -20,6 +21,7 @@ from mlasce.design import (
     _SUFFIX0,
     _THREADED_M,
     _corr_gram,
+    _design_stream,
     _first_max,
     _select,
     generate_grid,
@@ -596,6 +598,63 @@ class TestMiceRun:
         assert model.n == 7
         np.testing.assert_array_equal(model.X, np.array(seen))
         np.testing.assert_array_equal(model.y, [math.sin(3.0 * x[0]) for x in seen])
+
+
+class TestMiceRunInputs:
+    """mice_run checks every input before its first simulator call, with
+    the integer rule and the smoothness rule that mlasce_run uses."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"nu": 3.0}, "nu=3.0 unsupported"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"seed": 3.0}, "seed must be an integer, got 3.0"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"n_target": 4.5}, "n_target must be an integer, got 4.5"),
+            ({"n_initial": 2.5}, "n_initial must be an integer, got 2.5"),
+            ({"n_grid": 41.0}, "n_grid must be an integer, got 41.0"),
+        ],
+        ids=["nu", "seed-bool", "seed-float", "seed-none", "n_target", "n_initial", "n_grid"],
+    )
+    def test_invalid_input_rejected_before_any_evaluation(self, change, message):
+        calls = []
+        kwargs = {"n_target": 5, "nu": 2.5, "seed": 1, "n_grid": 21, **change}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mice_run(calls.append, (0.0, math.pi), **kwargs)
+        assert calls == []
+
+    def test_numpy_integers_accepted(self):
+        def sim(x):
+            return math.sin(3.0 * x[0])
+
+        a = mice_run(sim, (0.0, math.pi), np.int64(6), nu=2.5, seed=np.int32(4),
+                     n_grid=np.int64(21), n_initial=np.int8(2))
+        b = mice_run(sim, (0.0, math.pi), 6, nu=2.5, seed=4, n_grid=21, n_initial=2)
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.spec == b.spec
+
+
+class TestDesignStream:
+    """Both sequential designs open on _design_stream's grid and generator."""
+
+    def test_mice_run_opens_on_the_stream(self):
+        domain = ((0.0, 0.0), (1.0, 2.0))
+        cands, rng = _design_stream(domain, 31, np.random.SeedSequence(7))
+        opening = cands.grid[np.sort(rng.choice(31, size=3, replace=False))]
+        model = mice_run(lambda x: float(x[0] * x[1]), domain, 3, nu=2.5, seed=7, n_grid=31)
+        np.testing.assert_array_equal(model.X, opening)
+
+    def test_mlasce_run_levels_open_on_the_stream(self):
+        from mlasce.bench import TOY3, ladder_for
+        from mlasce.emulator import mlasce_run
+
+        # The opening cost alone: one point per level and no MICE pick.
+        em = mlasce_run(ladder_for(TOY3), 104.0, nu=2.5, seed=5, n_grid=21)
+        for lv, child in zip(em.levels, np.random.SeedSequence(5).spawn(3)):
+            cands, rng = _design_stream(TOY3.domain, 21, child)
+            np.testing.assert_array_equal(lv.model.X, cands.grid[[rng.integers(21)]])
 
 
 class TestStabilizerValidation:

@@ -166,6 +166,36 @@ class TestMlasceRun:
         with pytest.raises(ValueError, match=f"seed must be an integer, got .*{bad}"):
             mlasce_run(toy_ladder(), budget=200.0, nu=2.5, seed=seed, n_grid=41)
 
+    @pytest.mark.parametrize("n_grid", [41.0, True, "41"])
+    def test_rejects_non_integer_grid_before_any_run(self, n_grid):
+        calls = []
+        ladder = FidelityLadder(
+            levels=(Level(calls.append, cost=4.0, accuracy=1.0),
+                    Level(calls.append, cost=16.0, accuracy=0.5)),
+            domain=DOMAIN,
+        )
+        with pytest.raises(ValueError, match="n_grid must be an integer, got "):
+            mlasce_run(ladder, budget=200.0, nu=2.5, seed=0, n_grid=n_grid)
+        assert calls == []
+
+    def test_numpy_integer_grid_accepted(self):
+        a = mlasce_run(toy_ladder(), budget=200.0, nu=2.5, seed=0, n_grid=np.int64(21))
+        b = mlasce_run(toy_ladder(), budget=200.0, nu=2.5, seed=0, n_grid=21)
+        assert a.ledger == b.ledger
+
+    def test_rejects_overflowing_weight_to_cost_ratio(self):
+        # A cost of 5e-324 is positive and increasing, but weight / cost
+        # overflows, and every score and exploration floor is scaled by it.
+        calls = []
+        ladder = FidelityLadder(
+            levels=(Level(calls.append, cost=5e-324, accuracy=1.0),
+                    Level(calls.append, cost=16.0, accuracy=0.5)),
+            domain=DOMAIN,
+        )
+        with pytest.raises(ValueError, match="weight / cost"):
+            mlasce_run(ladder, budget=200.0, nu=2.5, a=[4.0, 20.0], seed=0, n_grid=21)
+        assert calls == []
+
     @pytest.mark.parametrize("tau2_s", [math.nan, math.inf, -1.0])
     def test_rejects_invalid_stabilizer(self, tau2_s):
         with pytest.raises(ValueError, match="stabilizer"):

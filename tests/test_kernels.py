@@ -559,3 +559,36 @@ class TestBlasThreads:
                 assert pool_counts() == uneven_pools
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestCheckNu:
+    """check_nu is the one smoothness rule, with one message everywhere."""
+
+    MESSAGE = "nu=3.0 unsupported; choose one of (0.5, 1.5, 2.5, 3.5, inf)"
+
+    @pytest.mark.parametrize("nu", SUPPORTED_NU)
+    def test_supported_values_pass(self, nu):
+        assert kernels.check_nu(nu) is None
+        assert kernels.check_nu(np.float64(nu)) is None
+
+    @pytest.mark.parametrize("nu", [3.0, 0.0, -2.5, math.nan, "2.5", None])
+    def test_other_values_rejected(self, nu):
+        with pytest.raises(ValueError, match="unsupported; choose one of"):
+            kernels.check_nu(nu)
+
+    def test_every_caller_gives_the_same_message(self):
+        from mlasce.bench import TOY3, ladder_for
+        from mlasce.design import mice_run
+        from mlasce.emulator import mlasce_run
+
+        calls = [
+            lambda: kernels.check_nu(3.0),
+            lambda: KernelSpec(nu=3.0, lam=1.0, sigma2=1.0),
+            lambda: matern_corr(np.ones(3), 3.0, 1.0),
+            lambda: mice_run(lambda x: 0.0, (0.0, math.pi), 5, nu=3.0),
+            lambda: mlasce_run(ladder_for(TOY3), 240.0, nu=[2.5, 3.0, 2.5], n_grid=21),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == self.MESSAGE

@@ -8,6 +8,7 @@ L = 2 and 3, and a multi-start Nelder-Mead search at L <= 5.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -456,3 +457,45 @@ class TestPerLevelSmoothness:
         )
         with pytest.raises(ValueError):
             closed_form_allocation(params)
+
+
+class TestLargeAlpha:
+    """A large alpha gives a plan without overflow, or a ValueError naming alpha.
+
+    On the run3 ladder each level's log weight is 2 alpha log|h_l - h_(l-1)|:
+    down to -416 at alpha 150 and -555 at 200, past -700 from about 252.
+    """
+
+    RUN3 = dict(h=(1.0, 0.5, 0.25), t=(4.0, 16.0, 64.0), nu=2.5, d=1, budget=240.0)
+
+    @pytest.mark.parametrize("alpha", [10, 100, 150, 200, 1e3, 1e10])
+    def test_plan_or_value_error_without_overflow(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if alpha >= 1e3:
+                with pytest.raises(ValueError, match="alpha"):
+                    PlanParams(alpha=alpha, **self.RUN3)
+                return
+            params = PlanParams(alpha=alpha, **self.RUN3)
+            plans = [solve_allocation(params), closed_form_allocation(params)]
+        for plan in plans:
+            assert np.all(np.isfinite(plan.n_runs)) and math.isfinite(plan.objective)
+            assert np.all(plan.n_rounded >= 1)
+            assert plan.n_rounded @ params.t <= params.budget * (1.0 + _BUDGET_RTOL)
+
+    @pytest.mark.parametrize(
+        "alpha, n_runs, objective",
+        [
+            (10, [35.571944836796604, 1.2214027581601699, 1.2214027581601699],
+             0.00025067336231324357),
+            (100, [35.571944836796604, 1.2214027581601699, 1.2214027581601699],
+             0.00025041467909353034),
+        ],
+    )
+    def test_moderate_alpha_plans_unchanged(self, alpha, n_runs, objective):
+        # The values the planner gave before large alphas were bounded.
+        plan = solve_allocation(PlanParams(alpha=alpha, **self.RUN3))
+        assert plan.n_runs.tolist() == n_runs and plan.objective == objective
+        assert plan.n_rounded.tolist() == [36, 2, 1]
+        closed = closed_form_allocation(PlanParams(alpha=100, **self.RUN3))
+        assert closed.n_runs.tolist() == [60.0, 2.7587378403998143e-17, 1.2684390786756385e-35]
