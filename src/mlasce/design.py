@@ -269,7 +269,9 @@ def mice_step(model, cands, tau_bar):
 
 
 def _evaluate(simulator, x):
-    """Call a simulator on a (d,) input and coerce the output to a float."""
+    """Call a simulator on a (d,) input and coerce the output to a float;
+    a value whose square overflows (above about 1.3e154 in magnitude) is
+    rejected too, as the fits square the observations."""
     try:
         val = float(np.asarray(simulator(x)).reshape(()))
     except SimulatorError:
@@ -278,6 +280,8 @@ def _evaluate(simulator, x):
         raise SimulatorError(f"simulator failed at x={x!r}: {exc}", x=x) from exc
     if not np.isfinite(val):
         raise SimulatorError(f"simulator returned non-finite value at x={x!r}", x=x)
+    if not np.isfinite(val * val):
+        raise SimulatorError(f"simulator returned {val!r} at x={x!r}, whose square overflows", x=x)
     return val
 
 

@@ -3,15 +3,20 @@
 The smoothness nu and the nugget are held fixed; the correlation length and
 the marginal variance are estimated by maximum likelihood. The variance is
 profiled out in closed form, leaving a search over log correlation length:
-a log-uniform lattice (one stacked Cholesky of bordered matrices up to
-_BORDERED_N points), then a bounded Brent refine around its winner
+a log-uniform lattice, then a bounded Brent refine around its winner
 (scipy's fminbound ported bit for bit), compared on _profile's rounding.
+The lattice is built once per search box (_lattice, cached, read-only).
+Up to _BORDERED_N points it is scored as one stacked Cholesky of bordered
+matrices, the kernel evaluated into one contiguous stack; each per-point
+profile builds R in Fortran order and factorises it in place through
+chol_factor(..., refill=...), which rebuilds R for a jitter retry.
 Posterior quantities use a cached Cholesky factor of the correlation
 matrix; fit and posterior_batch run their BLAS on one thread (kernels).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,10 +147,18 @@ def _brent_bounded(f, lo, hi, xatol):
 
 
 def _profile(dist, y, nu, lam, nugget):
-    """Factor of R = corr(dist; nu, lam) + nugget*I, y^T R^{-1} y, log det R."""
-    R = matern_corr(dist, nu, lam)
-    R.flat[::R.shape[0] + 1] += nugget
-    fac = chol_factor(R, jitter0=nugget)
+    """Factor of R = corr(dist; nu, lam) + nugget*I, y^T R^{-1} y, log det R.
+
+    R is built in Fortran order from dist.T (dist is bitwise symmetric) and
+    factorised in its own buffer; a jitter retry rebuilds it (chol_factor's
+    refill), so the factor is bitwise the copying route's lower triangle.
+    """
+    def corr():
+        R = matern_corr(dist.T, nu, lam)
+        R.T.reshape(-1)[::R.shape[0] + 1] += nugget  # the diagonal, as a strided view
+        return R
+
+    fac = chol_factor(corr(), jitter0=nugget, refill=corr)
     z = fac.solve_lower(y)
     return fac, np.einsum("i,i->", z, z), fac.logdet
 
@@ -153,11 +166,16 @@ def _profile(dist, y, nu, lam, nugget):
 def _bordered_profile(dist, y, nu, lams, nugget):
     """(y^T R^{-1} y, log det R) per lam, from one np.linalg.cholesky of the
     stack [[R, y], [y^T, inf]], whose factors' last rows are (L^{-1} y)^T;
-    None if any R is not positive definite."""
+    None if any R is not positive definite.
+
+    The kernel runs over a zero-bordered distance matrix into one contiguous
+    stack; the diagonal, the borders and the corner are written after it.
+    """
     n = y.size
-    B = np.empty((lams.size, n + 1, n + 1))
-    matern_corr(dist, nu, lams[:, None, None], out=B[:, :n, :n])
-    B[:, range(n), range(n)] += nugget
+    D = np.zeros((n + 1, n + 1))
+    D[:n, :n] = dist
+    B = matern_corr(D, nu, lams[:, None, None])
+    B.reshape(lams.size, -1)[:, :-1:n + 2] += nugget  # each R's diagonal
     B[:, n, :n] = B[:, :n, n] = y
     B[:, n, n] = math.inf
     try:
@@ -169,9 +187,21 @@ def _bordered_profile(dist, y, nu, lams, nugget):
     return np.einsum("ki,ki->k", z, z), logdet
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice(log_lo, log_hi):
+    """The search box's lattice of log lam and its lams, both read-only."""
+    grid = np.linspace(*np.linspace(log_lo, log_hi, 10)[[1, 8]], _LATTICE)
+    lams = np.exp(grid)
+    grid.flags.writeable = lams.flags.writeable = False
+    return grid, lams
+
+
 def _nll(q, logdet, n):
     """2x negative profile log likelihood less 2*pi terms, sigma2 = q/n clipped."""
-    sigma2 = np.clip(q / n, _SIG_LO, _SIG_HI)
+    if isinstance(q, float):  # a scalar q (np.float64 is a float): no ufunc call
+        sigma2 = min(max(q / n, _SIG_LO), _SIG_HI)
+    else:
+        sigma2 = np.clip(q / n, _SIG_LO, _SIG_HI)
     return q / sigma2 + n * np.log(sigma2) + logdet
 
 
@@ -249,16 +279,17 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     ys = y / math.sqrt(v)
 
     def objective(loglam):
-        # _nll of ys through _profile (dpotrf), inf if no jitter helps.
+        # _nll of ys through _profile (dpotrf), inf if no jitter helps; a
+        # Python float, on which Brent's arithmetic is faster, same bits.
         try:
             _, q, logdet = _profile(dist, ys, nu, np.exp(loglam), nugget)
         except FactorizationError:
             return math.inf
-        return _nll(q, logdet, n)
+        return float(_nll(q, logdet, n))
 
     log_lo, log_hi = math.log(lam_lo), math.log(lam_hi)
-    grid = np.linspace(*np.linspace(log_lo, log_hi, 10)[[1, 8]], _LATTICE)
-    stack = _bordered_profile(dist, ys, nu, np.exp(grid), nugget) if n <= _BORDERED_N else None
+    grid, lams = _lattice(log_lo, log_hi)
+    stack = _bordered_profile(dist, ys, nu, lams, nugget) if n <= _BORDERED_N else None
     vals = [objective(t) for t in grid] if stack is None else _nll(*stack, n)
     k = int(np.argmin(vals))
     # The winner rescored on Brent's route: every comparison is on one rounding.
@@ -266,7 +297,8 @@ def fit(X, y, nu, nugget=0.0, domain=None):
     if not np.isfinite(best_val):
         raise FactorizationError("every lattice point failed to factorize")
     # Brent's bracket: the best point's neighbours, or the box bound at an end.
-    lo, hi = np.r_[log_lo, grid, log_hi][[k, k + 2]]
+    lo = grid[k - 1] if k > 0 else log_lo
+    hi = grid[k + 1] if k + 1 < _LATTICE else log_hi
     refined = _brent_bounded(objective, lo, hi, _XATOL)
     ends = [(t, objective(t)) for t in (lo, hi) if t in (log_lo, log_hi)]
     for loglam, val in [refined] + ends:

@@ -236,7 +236,7 @@ class CholeskyFactor:
 
     @property
     def logdet(self):
-        return 2.0 * np.log(np.diagonal(self.lower)).sum()
+        return 2.0 * np.log(self.lower.diagonal()).sum()
 
 
 def _trtrs(L, b, trans):

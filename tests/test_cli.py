@@ -818,6 +818,20 @@ class TestExternalSimulator:
         assert main(["run", "--config", cfg]) == EXIT_SIMULATOR
 
 
+    def test_value_whose_square_overflows_exits_4_naming_x(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(TOY3_CONFIG))
+        doc["levels"][0]["simulator"] = {
+            "command": [
+                sys.executable,
+                "-c",
+                "import math, sys; print(1e200 * math.sin(3 * float(sys.stdin.read())))",
+            ]
+        }
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_SIMULATOR
+        err = capsys.readouterr().err
+        assert "[level 1] at x=" in err and "whose square overflows" in err
+        assert "Traceback" not in err
+
 class TestBenchCommand:
     def test_bench_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

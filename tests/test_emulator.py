@@ -331,6 +331,21 @@ class TestMlasceRun:
         assert err.value.level == 2
         assert err.value.x is not None
 
+    def test_value_whose_square_overflows_is_a_simulator_error(self):
+        # 1e200 fits a float, its square does not: the one-point fit's
+        # variance would overflow, so the value is refused naming x.
+        ladder = FidelityLadder(
+            levels=(
+                Level(lambda x: 1e200 * math.sin(3.0 * x[0]), cost=1.0, accuracy=1.0),
+                Level(lambda x: math.sin(x[0]), cost=2.0, accuracy=0.5),
+            ),
+            domain=DOMAIN,
+        )
+        with pytest.raises(SimulatorError, match="whose square overflows") as err:
+            mlasce_run(ladder, budget=10.0, nu=2.5, seed=0, n_grid=21)
+        assert err.value.level == 1
+        assert f"x={err.value.x!r}" in str(err.value)
+
     def test_greedy_simulator_failure_carries_level_and_x(self):
         # The first call (the opening pass) succeeds; the second, a greedy
         # pick, fails and must still be tagged with its level and input.

@@ -5,6 +5,7 @@ plain numpy (explicit inverse / determinant), fits against self-consistency
 checks on data generated from a known kernel.
 """
 
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -341,6 +342,141 @@ class TestFitDeterminism:
         assert a.spec == b.spec
         np.testing.assert_array_equal(a.alpha, b.alpha)
 
+
+def _pinned_design(n, d):
+    """|n| uniform points in [0, pi]^d and noisy sines; n < 0 puts the
+    second point 1e-9 from the first."""
+    rng = np.random.default_rng(2500 + 10 * n + d)
+    X = rng.uniform(0.0, math.pi, size=(abs(n), d))
+    if n < 0:
+        X[1] = X[0] + 1e-9
+    y = np.sin(2.0 * X).sum(axis=1) + 0.1 * rng.normal(size=abs(n))
+    return X, y
+
+
+# (n, d, nu, nugget, lam, sigma2, sha256(alpha bytes)[:16], jitter) of fits
+# recorded from the plain search (a copied R per lattice point and a fresh
+# lattice per fit). It covers the one-point fit, the bordered stack (n <= 32)
+# and 36 per-point lattice evaluations (n > 32); at nu = inf and nugget 0
+# the jitter retries, and with a near-duplicate point a jittered final factor.
+_PINNED_FITS = [
+    (1, 1, 0.5, 1e-08, 0.9934588265796102, 0.5490252093041481, 'ea338e60a538f7d4', 0.0),
+    (1, 1, 1.5, 1e-08, 0.9934588265796102, 0.5490252093041481, 'ea338e60a538f7d4', 0.0),
+    (1, 1, 2.5, 1e-08, 0.9934588265796102, 0.5490252093041481, 'ea338e60a538f7d4', 0.0),
+    (1, 1, 3.5, 1e-08, 0.9934588265796102, 0.5490252093041481, 'ea338e60a538f7d4', 0.0),
+    (1, 1, math.inf, 1e-08, 0.9934588265796102, 0.5490252093041481, 'ea338e60a538f7d4', 0.0),
+    (1, 1, math.inf, 0.0, 0.9934588265796102, 0.5490252093041481, '1b56c836b99395eb', 0.0),
+    (2, 1, 0.5, 1e-08, 0.06768356194843171, 0.43372633101711955, 'd65f0922a279b912', 0.0),
+    (2, 1, 1.5, 1e-08, 0.06768356194843171, 0.433726331017084, '4516135e51b29995', 0.0),
+    (2, 1, 2.5, 1e-08, 0.06768356194843171, 0.433726331017084, '4516135e51b29995', 0.0),
+    (2, 1, 3.5, 1e-08, 0.06768356194843171, 0.433726331017084, '4516135e51b29995', 0.0),
+    (2, 1, math.inf, 1e-08, 0.06768356194843171, 0.433726331017084, '4516135e51b29995', 0.0),
+    (2, 1, math.inf, 0.0, 0.06768356194843171, 0.43372633535434735, 'df7ac7019b027ad1', 0.0),
+    (5, 1, 0.5, 1e-08, 0.6854785120474175, 0.35199759239247996, '5c59cfa88a92c945', 0.0),
+    (5, 1, 1.5, 1e-08, 0.14813132029734072, 0.44695405953673156, '43f0381ad1502b3e', 0.0),
+    (5, 1, 2.5, 1e-08, 0.10240168017917728, 0.4315017491966766, '8ccbc7ed441f6d15', 0.0),
+    (5, 1, 3.5, 1e-08, 0.09234863189499053, 0.42849173387086487, 'c87b59a13d6057fd', 0.0),
+    (5, 1, math.inf, 1e-08, 0.10945086560719892, 0.4265390755977168, 'dab8b34a8c695866', 0.0),
+    (5, 1, math.inf, 0.0, 0.10945085091764671, 0.426539079849678, '009fbe475e67d7b9', 0.0),
+    (8, 1, 0.5, 1e-08, 0.6734284624853321, 0.40506360924778356, '2c444ae38486a039', 0.0),
+    (8, 1, 1.5, 1e-08, 0.057917510236248575, 0.4940799535947316, '2ca239520be62bab', 0.0),
+    (8, 1, 2.5, 1e-08, 0.03909046756451799, 0.5223468674379473, '1269932f7b1af8b7', 0.0),
+    (8, 1, 3.5, 1e-08, 0.03373490735253856, 0.5307539811545192, 'd69f072a6651ba2f', 0.0),
+    (8, 1, math.inf, 1e-08, 0.03430900168963502, 0.5286950554724555, '03173d0aa4dccd8e', 0.0),
+    (8, 1, math.inf, 0.0, 0.03430897872105201, 0.5286949289351427, 'c593eb02ada8f0bb', 0.0),
+    (20, 1, 0.5, 1e-08, 0.9389091581459568, 0.4027346530588387, '89c1b4e848143214', 0.0),
+    (20, 1, 1.5, 1e-08, 0.0861018350232317, 0.40546300716373, '91955752a74db5d1', 0.0),
+    (20, 1, 2.5, 1e-08, 0.051217078732084746, 0.4245570536260118, '40c953dc8550e042', 0.0),
+    (20, 1, 3.5, 1e-08, 0.042239536965802287, 0.43516122323328926, '8801d944124f7664', 0.0),
+    (20, 1, math.inf, 1e-08, 0.041377482664623454, 0.4587425956241292, '329f27ceece82574', 0.0),
+    (20, 1, math.inf, 0.0, 0.04137743449849176, 0.45874247738723495, '8afab4d1f0c0c488', 0.0),
+    (33, 1, 0.5, 1e-08, 1.314050048495834, 0.3739145623365133, 'c7c5df5d27576071', 0.0),
+    (33, 1, 1.5, 1e-08, 0.14907114135183194, 0.3854394999043298, 'd4429f45a92ff20b', 0.0),
+    (33, 1, 2.5, 1e-08, 0.09132897928220901, 0.37732209323929755, '92491ea608d91459', 0.0),
+    (33, 1, 3.5, 1e-08, 0.07325869387837229, 0.3737993892462996, '33f9d23cdbc59c12', 0.0),
+    (33, 1, math.inf, 1e-08, 0.06649625845694064, 0.37773165528115443, '0eb7941a0befc38d', 0.0),
+    (33, 1, math.inf, 0.0, 0.06649563903430636, 0.37772997163799227, 'a2a6143d6fe0df00', 0.0),
+    (40, 1, 0.5, 1e-08, 0.531752075000682, 0.5737652672221112, '48ca1b6337705aeb', 0.0),
+    (40, 1, 1.5, 1e-08, 0.03141592653589794, 1.1852029437156437, 'a5cbc53202e91dda', 0.0),
+    (40, 1, 2.5, 1e-08, 0.03141592653589794, 3.0607941601163757, 'fc01df45aea6057c', 0.0),
+    (40, 1, 3.5, 1e-08, 0.03141592653589794, 5.536050806275307, 'd5a4b8e79be0e277', 0.0),
+    (40, 1, math.inf, 1e-08, 0.03141592653589794, 5.814778135325222, '5279004b4c246651', 0.0),
+    (40, 1, math.inf, 0.0, 0.03141592653589794, 5.815666280215652, '6dd5155c3c1c4c27', 0.0),
+    (8, 2, 2.5, 1e-08, 1.7717326237873172, 2.5791281300279145, 'ed7498c8af6b1b10', 0.0),
+    (40, 2, 2.5, 1e-08, 0.7142982762431376, 0.8399962282847635, '2fbb09d4ff688496', 0.0),
+    (-8, 1, math.inf, 0.0, 1.0886250268358053, 2826.5668898641734, '36d2ac41794c2264', 1e-11),
+    (-40, 1, math.inf, 0.0, 0.08003229371576806, 4699.658867834871, '81535bb4c530feae', 1e-11),
+]
+
+
+class TestFitBits:
+    @pytest.mark.parametrize(
+        "n, d, nu, nugget, lam, sigma2, digest, jitter", _PINNED_FITS,
+        ids=[f"n{c[0]}-d{c[1]}-nu{c[2]}-nugget{c[3]}" for c in _PINNED_FITS],
+    )
+    def test_fit_is_bitwise_pinned(self, n, d, nu, nugget, lam, sigma2, digest, jitter):
+        X, y = _pinned_design(n, d)
+        model = fit(X, y, nu=nu, nugget=nugget, domain=([0.0] * d, [math.pi] * d))
+        assert repr(model.spec.lam) == repr(lam)
+        assert repr(model.spec.sigma2) == repr(sigma2)
+        assert hashlib.sha256(model.alpha.tobytes()).hexdigest()[:16] == digest
+        assert model.chol.jitter == jitter
+
+
+def _copying_profile(dist, y, nu, lam, nugget):
+    """Reference for _profile: a C-ordered R, factorised by chol_factor's
+    copying route (a fresh copy plus jitter per retry)."""
+    R = kernels.matern_corr(dist, nu, lam)
+    R.flat[::R.shape[0] + 1] += nugget
+    fac = kernels.chol_factor(R, jitter0=nugget)
+    z = fac.solve_lower(y)
+    return fac, np.einsum("i,i->", z, z), fac.logdet
+
+
+class TestSearchRoutes:
+    @pytest.mark.parametrize("nu, nugget", [(nu, 1e-8) for nu in SUPPORTED_NU] + [(math.inf, 0.0)])
+    @pytest.mark.parametrize("n, d, near", [(1, 1, False), (7, 1, False), (12, 2, False),
+                                            (9, 1, True), (30, 2, True)])
+    def test_in_place_profile_matches_copying_route(self, n, d, near, nu, nugget):
+        rng = np.random.default_rng(31 * n + d)
+        X = rng.uniform(0.0, 2.0, size=(n, d))
+        if near:
+            X[1] = X[0] + 1e-9
+        dist, y = kernels.distances(X, X), rng.normal(size=n)
+        jitters = []
+        for lam in (0.03, 0.4, 5.0, 60.0):
+            want = _copying_profile(dist, y, nu, lam, nugget)
+            fac, q, logdet = gp._profile(dist, y, nu, lam, nugget)
+            assert fac.jitter == want[0].jitter
+            assert np.tril(fac.lower).tobytes() == want[0].lower.tobytes()
+            assert repr(q) == repr(want[1]) and repr(logdet) == repr(want[2])
+            jitters.append(fac.jitter)
+        if near and nugget == 0.0:  # a point 1e-9 from another: the retries run
+            assert any(jitters)
+
+    def test_lattice_is_read_only_and_cached_per_box(self):
+        grid, lams = gp._lattice(-3.0, 2.0)
+        assert not grid.flags.writeable and not lams.flags.writeable
+        with pytest.raises(ValueError):
+            lams[0] = 1.0
+        assert gp._lattice(-3.0, 2.0)[1] is lams
+        np.testing.assert_array_equal(lams, np.exp(grid))
+
+    def test_two_domains_get_two_lattices(self, monkeypatch):
+        seen = []
+        stack = gp._bordered_profile
+        monkeypatch.setattr(
+            gp, "_bordered_profile", lambda *a: seen.append(a[3]) or stack(*a)
+        )
+        X = np.linspace(0.0, 1.0, 6)
+        for hi in (1.0, 2.0, 1.0):
+            fit(X, np.sin(3.0 * X), nu=2.5, nugget=1e-8, domain=(0.0, hi))
+        short, wide, again = seen
+        assert again is short
+        assert not np.array_equal(short, wide)
+        np.testing.assert_allclose(wide, 2.0 * short, rtol=1e-13)
+        lo, hi = lambda_bounds(2.0)
+        assert lo < wide[0] < wide[-1] < hi
 
 def profiled_nll(X, y, nu, lam, nugget):
     """Oracle: negative log likelihood at lam with sigma2 at its clamped optimum."""
