@@ -408,12 +408,13 @@ def _prediction_csv(X, mean, sd):
 
 
 def cmd_predict(args):
-    emulator = load_artifact(args.artifact)
-    X = _read_points(args.points, emulator.levels[0].model.dim)
-    mean, var = predict_batch(emulator, X)
+    # A far point (distance past about 1e154, in the queries or the design)
+    # or extreme hyperparameters can overflow; no nan or inf is printed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        emulator = load_artifact(args.artifact)
+        X = _read_points(args.points, emulator.levels[0].model.dim)
+        mean, var = predict_batch(emulator, X)
     sd = np.sqrt(np.maximum(var, 0.0))
-    # A far point (a kernel distance past about 1e154) or an artifact with
-    # extreme hyperparameters can overflow; no nan or inf is printed.
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
     if bad.size:
         raise ConfigError(

@@ -1,4 +1,5 @@
-"""Sequential experimental design: candidate grids and the MICE loop.
+"""Sequential experimental design: candidate grids, MICE selection, and
+mice_run, single-level MICE on mlasce_run's loop (SimulatorError.level 1).
 
 The selection criterion is the ratio of the current model's predictive
 variance at a candidate to its predictive variance under a GP conditioned
@@ -30,7 +31,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import CandidatesExhausted, FactorizationError, SimulatorError
+from .errors import CandidatesExhausted, FactorizationError
 from .gp import GPModel, fit, posterior_batch
 from .kernels import (
     _blas_threads,
@@ -72,8 +73,9 @@ def domain_arrays(domain):
         raise ValueError("domain bounds must be finite")
     if not np.all(hi > lo):
         raise ValueError("domain is empty: every upper bound must exceed its lower bound")
-    if not np.isfinite(np.sum(np.square(hi - lo))):
-        raise ValueError("domain bounds are too far apart: squared distances overflow")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.sum(np.square(hi - lo))):
+            raise ValueError("domain bounds are too far apart: squared distances overflow")
     return lo, hi
 
 
@@ -268,23 +270,6 @@ def mice_step(model, cands, tau_bar):
     return x, cands.without(chosen)
 
 
-def _evaluate(simulator, x):
-    """Call a simulator on a (d,) input and coerce the output to a float;
-    a value whose square overflows (above about 1.3e154 in magnitude) is
-    rejected too, as the fits square the observations."""
-    try:
-        val = float(np.asarray(simulator(x)).reshape(()))
-    except SimulatorError:
-        raise
-    except Exception as exc:
-        raise SimulatorError(f"simulator failed at x={x!r}: {exc}", x=x) from exc
-    if not np.isfinite(val):
-        raise SimulatorError(f"simulator returned non-finite value at x={x!r}", x=x)
-    if not np.isfinite(val * val):
-        raise SimulatorError(f"simulator returned {val!r} at x={x!r}, whose square overflows", x=x)
-    return val
-
-
 def mice_run(
     simulator,
     domain,
@@ -299,16 +284,20 @@ def mice_run(
 ):
     """Run the full select-evaluate-refit loop up to n_target points.
 
-    After n_initial random grid points, each point is the ``mice_step``
-    pick among the unused candidates, scored with the stabilized nugget
+    emulator._grow runs it on a one-level emulator (cost 1, weight 1,
+    budget n_target): n_initial random grid points, then MICE picks among
+    the unused candidates, scored with the stabilized nugget
     max(nugget, tau2_s). With ``spec`` given the hyperparameters stay
     fixed (no refitting); otherwise the correlation length and variance
     are re-estimated after every evaluation. Returns the final GPModel,
-    whose X and y are the evaluated design. An n_target above n_grid
-    raises CandidatesExhausted before any simulator call; so does every
-    other invalid input, as a ValueError (seed, n_target, n_grid and
-    n_initial must be integers).
+    whose X and y are the evaluated design; a SimulatorError has level 1.
+    An n_target above n_grid raises CandidatesExhausted before any
+    simulator call; so does every other invalid input, as a ValueError
+    (seed, n_target, n_grid and n_initial must be integers).
     """
+    # emulator imports this module, so the loop is imported at call time.
+    from .emulator import LevelState, MultilevelEmulator, _grow
+
     n_target = _int_arg("n_target", n_target)
     n_initial = min(_int_arg("n_initial", n_initial), n_target)
     if n_initial < 1:
@@ -318,22 +307,10 @@ def mice_run(
     n_grid = _int_arg("n_grid", n_grid)
     if n_target > n_grid:
         raise CandidatesExhausted(f"n_target={n_target} exceeds n_grid={n_grid}")
-    tau_bar = max(nugget, tau2_s)
     cands, rng = _design_stream(domain, n_grid, np.random.SeedSequence(_int_arg("seed", seed)))
-
+    refit = (partial(fit, nu=nu, nugget=nugget, domain=domain) if spec is None
+             else partial(GPModel.from_spec, spec=spec))
+    lv = LevelState(1, None, 1.0, 1.0, cands=cands, simulator=simulator, refit=refit)
+    em = MultilevelEmulator([lv], domain, budget=float(n_target), spent=0.0)
     init_idx = np.sort(rng.choice(len(cands.grid), size=n_initial, replace=False))
-    X = cands.grid[init_idx].copy()
-    y = np.array([_evaluate(simulator, x) for x in X])
-    cands = replace(cands, cand=np.setdiff1d(cands.cand, init_idx))
-
-    def refit(X, y):
-        if spec is not None:
-            return GPModel.from_spec(X, y, spec)
-        return fit(X, y, nu, nugget=nugget, domain=domain)
-
-    model = refit(X, y)
-    while model.n < n_target:
-        x, cands = mice_step(model, cands, tau_bar)
-        y_new = _evaluate(simulator, x)
-        model = refit(np.vstack([model.X, x]), np.append(model.y, y_new))
-    return model
+    return _grow(em, [(lv, i) for i in init_idx], max(nugget, tau2_s)).levels[0].model

@@ -2,12 +2,13 @@
 prediction and error-bound reporting.
 
 Each fidelity increment gets its own GP. ``mlasce_run`` builds the
-``MultilevelEmulator`` first and grows it as the run state: ``_pick``
-chooses the level whose latest extension score (see ``score``) is largest
-among the levels still affordable, with a breadth-first exploration floor
-early in the budget, and ``_extend`` refits that level on the new point,
-rescores it and charges the ledger. Only the extended level's score
-changes between iterations, so the others stay cached.
+``MultilevelEmulator`` first and ``_grow`` grows it as the run state:
+``_pick`` chooses the level whose latest extension score (see ``score``)
+is largest among the levels still affordable, with a breadth-first
+exploration floor early in the budget, and ``_extend`` evaluates and
+refits that level at the new point, rescores it and charges the ledger.
+Only the extended level's score changes, so the others stay cached.
+``design.mice_run`` is the same loop on one level (SimulatorError.level 1).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .design import (
     DEFAULT_TAU2_S,
     CandidateSet,
     _design_stream,
-    _evaluate,
     _first_max,
     _int_arg,
     _select,
@@ -76,7 +77,8 @@ def _difference(hi, lo):
 
 @dataclass
 class LevelState:
-    """Per-level bookkeeping inside a multilevel emulator."""
+    """Per-level bookkeeping inside a multilevel emulator; a running level
+    also holds its simulator and its refit, (X, y) -> GPModel."""
 
     level: int
     model: GPModel
@@ -84,6 +86,8 @@ class LevelState:
     weight: float
     gamma: float = 0.0
     cands: CandidateSet | None = None
+    simulator: object = None
+    refit: object = None
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,9 @@ def _pick(em):
         for lv in em.levels
         if lv.cost_per_eval <= remaining + 1e-9 and lv.cands.cand.size > 0
     ]
-    if not open_levels:
-        return None
+    if len(open_levels) < 2:
+        # A lone level needs no score (a degenerate fixed spec scores nan).
+        return open_levels[0] if open_levels else None
     exploring = em.spent < EXPLORE_BUDGET_FRACTION * em.budget
     effective = [
         max(lv.gamma, (lv.weight / lv.cost_per_eval) / lv.model.n)
@@ -177,23 +182,60 @@ def _pick(em):
     return open_levels[_first_max(effective)]
 
 
-def _extend(em, lv, x, chosen, value, nu, nugget, iteration):
+def _evaluate(simulator, x):
+    """Call a simulator on a (d,) input and coerce the output to a float;
+    a value whose square overflows (above about 1.3e154 in magnitude) is
+    rejected too, as the fits square the observations."""
+    try:
+        val = float(np.asarray(simulator(x)).reshape(()))
+    except SimulatorError:
+        raise
+    except Exception as exc:
+        raise SimulatorError(f"simulator failed at x={x!r}: {exc}", x=x) from exc
+    if not np.isfinite(val):
+        raise SimulatorError(f"simulator returned non-finite value at x={x!r}", x=x)
+    if not np.isfinite(val * val):
+        raise SimulatorError(f"simulator returned {val!r} at x={x!r}, whose square overflows", x=x)
+    return val
+
+
+def _extend(em, lv, x, chosen, iteration):
     """The one run step, for opening points and MICE picks alike.
 
-    Refits level lv on its design plus (x, value), rescores it (before is
-    None for the opening point), drops candidate ``chosen`` and charges the
-    budget and the ledger of em.
+    Evaluates level lv's simulator at x, refits lv on its design plus that
+    value, rescores it (before is None for the opening point), drops
+    candidate ``chosen`` and charges the budget and the ledger of em.
     """
+    value = _evaluate(lv.simulator, x)
     before = lv.model
     X = x.reshape(1, -1) if before is None else np.vstack([before.X, x])
     y = np.append([] if before is None else before.y, value)
-    lv.model = fit(X, y, nu, nugget=nugget, domain=em.domain)
+    lv.model = lv.refit(X, y)
     lv.gamma = score(before, lv.model, lv.weight, lv.cost_per_eval)
     lv.cands = lv.cands.without(chosen)
     em.spent += lv.cost_per_eval
     em.ledger.append(
         LedgerEntry(iteration, lv.level, tuple(x.tolist()), value, lv.cost_per_eval)
     )
+
+
+def _grow(em, openings, tau_bar):
+    """The one select-evaluate-refit loop, for both sequential designs:
+    extends each (level state, grid index) opening, then each ``_pick``ed
+    level at its ``_select`` point until ``_pick`` returns None. Returns em."""
+    try:
+        for lv, start in openings:
+            _extend(em, lv, lv.cands.grid[start].copy(), start, 0)
+        iteration = 0
+        while (lv := _pick(em)) is not None:
+            iteration += 1
+            x, chosen = _select(lv.model, lv.cands, tau_bar)
+            _extend(em, lv, x, chosen, iteration)
+    except SimulatorError as exc:
+        # Only _evaluate raises it, for the level lv being extended.
+        exc.level = lv.level
+        raise
+    return em
 
 
 def mlasce_run(
@@ -210,11 +252,9 @@ def mlasce_run(
 
     nu may be a single smoothness or one per level; a defaults to each
     increment's cost (so the default score is the undamped extension
-    score). The returned emulator is the run state: each level's random
-    opening point, then each ``_pick``ed level's MICE point, is evaluated
-    and handed to ``_extend``, which refits, rescores and charges the
-    ledger. The run is deterministic given the seed (an integer, or one
-    integer per level).
+    score). The returned emulator is the run state that ``_grow`` grows
+    from each level's random opening point. The run is deterministic
+    given the seed (an integer, or one integer per level).
     """
     L = ladder.L
     # Level l evaluates delta_l = y_l - y_{l-1} (delta_1 = y_1) at t_l + t_{l-1}.
@@ -235,7 +275,6 @@ def mlasce_run(
         raise ValueError(f"budget must be finite, got {budget!r}")
     check_nuggets(nugget, tau2_s)
     n_grid = _int_arg("n_grid", n_grid)
-    tau_bar = max(nugget, tau2_s)
     init_cost = sum(costs)
     if budget < init_cost - 1e-9:
         raise BudgetError(
@@ -255,25 +294,15 @@ def mlasce_run(
     em = MultilevelEmulator(
         levels=[], domain=ladder.domain, budget=float(budget), spent=0.0, seed=seed
     )
-    try:
-        for i in range(L):
-            cands, rng = _design_stream(ladder.domain, n_grid, children[i])
-            start = int(rng.integers(len(cands.grid)))
-            lv = LevelState(i + 1, None, costs[i], weights[i], cands=cands)
-            em.levels.append(lv)
-            x = cands.grid[start].copy()
-            _extend(em, lv, x, start, _evaluate(deltas[i], x), nus[i], nugget, 0)
-        iteration = 0
-        while (lv := _pick(em)) is not None:
-            iteration += 1
-            x, chosen = _select(lv.model, lv.cands, tau_bar)
-            value = _evaluate(deltas[lv.level - 1], x)
-            _extend(em, lv, x, chosen, value, nus[lv.level - 1], nugget, iteration)
-    except SimulatorError as exc:
-        # Only _evaluate raises it, for the level lv being extended.
-        exc.level = lv.level
-        raise
-    return em
+    openings = []
+    for i in range(L):
+        cands, rng = _design_stream(ladder.domain, n_grid, children[i])
+        refit = partial(fit, nu=nus[i], nugget=nugget, domain=ladder.domain)
+        lv = LevelState(i + 1, None, costs[i], weights[i], cands=cands,
+                        simulator=deltas[i], refit=refit)
+        em.levels.append(lv)
+        openings.append((lv, int(rng.integers(len(cands.grid)))))
+    return _grow(em, openings, max(nugget, tau2_s))
 
 
 def predict_batch(emulator, X, var=True):

@@ -232,12 +232,14 @@ def _kkt_points(a, logc, t, lb, T):
     start = np.where(below, x_star[..., None] + np.where(rising, -1.0, 1.0), x_star[..., None])
     ax, cx = a[:, None], logc[:, None]
     X, U, _ = _branch_roots(ax, cx, y, start, rising, below)
-    tn = t[:, None] * np.exp(U)
 
     fall, rise = _configurations(len(t))
     free = fall | rise
     floor_cost = (~free) @ (t * lb)
-    spend = fall @ tn[0] + rise @ tn[1] + floor_cost[:, None]
+    # An exp(U) that overflows gives an inf or nan spend: no sign change of g.
+    with np.errstate(over="ignore", invalid="ignore"):
+        tn = t[:, None] * np.exp(U)
+        spend = fall @ tn[0] + rise @ tn[1] + floor_cost[:, None]
     valid = grid <= np.where(free, cap, np.inf).min(axis=1)[:, None]
     # Signs, not g itself: a product of two large spends can overflow.
     g = np.sign(spend - T)

@@ -601,15 +601,17 @@ class TestPredictNonFinite:
     @pytest.mark.parametrize("x", ["1e200", "-1e300"])
     def test_far_point_exits_2(self, tmp_path, capsys, small_artifact, x):
         # The squared distance overflows, and the Matern polynomial times
-        # exp(-inf) is nan: no nan is printed.
+        # exp(-inf) is nan: no nan is printed, and no numpy RuntimeWarning
+        # either, so stderr holds the one error line.
         pts = tmp_path / "points.txt"
         pts.write_text(f"1.0\n{x}\n")
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["predict", "--artifact", str(small_artifact), "--points", str(pts)])
         assert code == EXIT_CONFIG
         out, err = capsys.readouterr()
-        assert out == "" and f"the prediction at point 2, x=[{float(x)!r}], is not finite" in err
+        assert out == ""
+        assert err == f"error: {pts}: the prediction at point 2, x=[{float(x)!r}], is not finite\n"
 
 
 class TestParser:

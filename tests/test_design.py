@@ -4,6 +4,7 @@ The MICE selection is checked against an exhaustive brute-force oracle that
 rebuilds every numerator and denominator with plain dense numpy algebra.
 """
 
+import hashlib
 import math
 import re
 import sys
@@ -586,6 +587,15 @@ class TestMiceRun:
         model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 9, nu=2.5, seed=2, spec=spec)
         assert model.spec == spec
 
+    def test_degenerate_fixed_spec_runs_to_n_target(self):
+        # sigma2 = 1e-300 overflows alpha, so every extension score is nan;
+        # a lone level is picked without comparing scores, as it must be.
+        spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1e-300, nugget=1e-8)
+        with np.errstate(all="ignore"):
+            model = mice_run(lambda x: math.sin(x[0]), (0.0, math.pi), 8,
+                             nu=2.5, seed=1, n_grid=41, spec=spec)
+        assert model.n == 8 and len(np.unique(model.X)) == 8
+
     def test_returns_model_of_the_evaluated_design(self):
         seen = []
 
@@ -598,6 +608,87 @@ class TestMiceRun:
         assert model.n == 7
         np.testing.assert_array_equal(model.X, np.array(seen))
         np.testing.assert_array_equal(model.y, [math.sin(3.0 * x[0]) for x in seen])
+
+
+def _bits_sim_1d(x):
+    return math.sin(3.0 * x[0]) + 0.5 * x[0]
+
+
+def _bits_sim_2d(x):
+    return math.sin(3.0 * x[0]) * math.cos(x[1]) + 0.3 * x[1]
+
+
+# mice_run arguments per shape: refitted; a fixed spec on a 201-point grid
+# from one opening point; nu = inf with nugget 0 (the jitter route); 2-D.
+_BITS_SHAPES = {
+    "fitted": (_bits_sim_1d, (0.0, math.pi), 10, {"nu": 2.5}),
+    "fixed-spec": (_bits_sim_1d, (0.0, math.pi), 12, {
+        "nu": 2.5, "n_grid": 201, "n_initial": 1,
+        "spec": KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-8),
+    }),
+    "nu-inf-nugget-0": (_bits_sim_1d, (0.0, math.pi), 8, {"nu": math.inf, "nugget": 0.0}),
+    "2d": (_bits_sim_2d, ((0.0, 0.0), (1.0, 2.0)), 10, {"nu": 2.5, "n_grid": 61}),
+}
+
+# (shape, seed, sha256(X, y and alpha bytes)[:16], repr(spec)) of mice_run
+# results recorded from the design's own refit loop, before it ran on
+# emulator._grow. Every grid is below _THREADED_M, so the factorisations
+# run on one BLAS thread and the bits hold at any thread count.
+_PINNED_RUNS = [
+    ('fitted', 0, 'eeeb819e34847360', 'KernelSpec(nu=2.5, lam=1.1092580603317603, sigma2=2.6923982179802177, nugget=1e-08)'),
+    ('fitted', 1, '3add0d6b3a140eca', 'KernelSpec(nu=2.5, lam=1.1072456765419236, sigma2=2.678009241659005, nugget=1e-08)'),
+    ('fitted', 2, '66e410e1666155e3', 'KernelSpec(nu=2.5, lam=1.0933688131266959, sigma2=2.597792102705069, nugget=1e-08)'),
+    ('fitted', 3, '29c5ce154ebfe486', 'KernelSpec(nu=2.5, lam=1.065983365677983, sigma2=2.4165806880400544, nugget=1e-08)'),
+    ('fitted', 4, '860d74e9607c4622', 'KernelSpec(nu=2.5, lam=1.0746997481164315, sigma2=2.449936438890525, nugget=1e-08)'),
+    ('fitted', 5, 'fa05e82eeacd04f6', 'KernelSpec(nu=2.5, lam=1.0892958854662775, sigma2=2.5587134364362485, nugget=1e-08)'),
+    ('fitted', 6, '6d342e270cc4830c', 'KernelSpec(nu=2.5, lam=1.0912729810326691, sigma2=2.5652343310409855, nugget=1e-08)'),
+    ('fitted', 7, '0c79a045bf60d86e', 'KernelSpec(nu=2.5, lam=1.0796229279035512, sigma2=2.4954010044030133, nugget=1e-08)'),
+    ('fitted', 8, '8df902a8ca864427', 'KernelSpec(nu=2.5, lam=1.0863182409132757, sigma2=2.5433158903482798, nugget=1e-08)'),
+    ('fitted', 9, 'e7ff272da08dc915', 'KernelSpec(nu=2.5, lam=1.0673139517144576, sigma2=2.406053946838984, nugget=1e-08)'),
+    ('fixed-spec', 0, 'f9245f11dc1ca730', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 1, '11325325534d07c5', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 2, '78f4695b0127cca6', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 3, '825d7e4137037b48', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 4, '12f10ccec83c0391', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 5, 'adacd4489c89e17f', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 6, '5b112ceceb95dd1a', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 7, '2ca9cf792bdab21a', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 8, '78e3557d1dce54e5', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('fixed-spec', 9, 'f1ead8762c0b104e', 'KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-08)'),
+    ('nu-inf-nugget-0', 0, '8290da902660f16c', 'KernelSpec(nu=inf, lam=1.1844265640917027, sigma2=3.3137662217598924, nugget=0.0)'),
+    ('nu-inf-nugget-0', 1, 'fa333b44b3387dc7', 'KernelSpec(nu=inf, lam=1.1840718530894583, sigma2=3.3524893452940137, nugget=0.0)'),
+    ('nu-inf-nugget-0', 2, 'b04020e2884dd7d3', 'KernelSpec(nu=inf, lam=1.1739240447173802, sigma2=3.3233317914726954, nugget=0.0)'),
+    ('nu-inf-nugget-0', 3, 'e0c968bcfd7b0068', 'KernelSpec(nu=inf, lam=1.108016009610835, sigma2=2.6667272510103444, nugget=0.0)'),
+    ('nu-inf-nugget-0', 4, 'cc5c440366cc2b02', 'KernelSpec(nu=inf, lam=1.1459480656100753, sigma2=3.013108868371054, nugget=0.0)'),
+    ('nu-inf-nugget-0', 5, 'f03f6fdb57843cfa', 'KernelSpec(nu=inf, lam=1.1631303187977438, sigma2=3.029575674165062, nugget=0.0)'),
+    ('nu-inf-nugget-0', 6, '26eee35b615f7f6f', 'KernelSpec(nu=inf, lam=1.1832043689345706, sigma2=3.2597949268208883, nugget=0.0)'),
+    ('nu-inf-nugget-0', 7, '7e8c6eae7efa14ae', 'KernelSpec(nu=inf, lam=1.196592071261916, sigma2=3.452635261641558, nugget=0.0)'),
+    ('nu-inf-nugget-0', 8, 'ff5e503ab9bfc2d9', 'KernelSpec(nu=inf, lam=1.141501876867676, sigma2=2.950183434098056, nugget=0.0)'),
+    ('nu-inf-nugget-0', 9, '1233c4d999dabe3a', 'KernelSpec(nu=inf, lam=1.1955042408225713, sigma2=3.4116430065138257, nugget=0.0)'),
+    ('2d', 0, '450dd31db9d0b42b', 'KernelSpec(nu=2.5, lam=0.614586438892095, sigma2=0.23356372351129967, nugget=1e-08)'),
+    ('2d', 1, '0d50cf4805be217b', 'KernelSpec(nu=2.5, lam=0.6405879862988603, sigma2=0.2694467742770771, nugget=1e-08)'),
+    ('2d', 2, 'b2a11372205c7c76', 'KernelSpec(nu=2.5, lam=0.6121347557118613, sigma2=0.21108793013174615, nugget=1e-08)'),
+    ('2d', 3, '06bc90c37d13a2a4', 'KernelSpec(nu=2.5, lam=0.49928322121249274, sigma2=0.23918440622561993, nugget=1e-08)'),
+    ('2d', 4, '4e590bf626a547db', 'KernelSpec(nu=2.5, lam=0.6165874392631518, sigma2=0.23840645071173405, nugget=1e-08)'),
+    ('2d', 5, '7b7b76069ef4af2f', 'KernelSpec(nu=2.5, lam=0.6876004105227503, sigma2=0.227069196993361, nugget=1e-08)'),
+    ('2d', 6, 'b7419e4f4cf7ded0', 'KernelSpec(nu=2.5, lam=0.767395844545563, sigma2=0.1901028430869467, nugget=1e-08)'),
+    ('2d', 7, 'c5ffd74f362ac071', 'KernelSpec(nu=2.5, lam=0.7109210199284327, sigma2=0.1572353677092885, nugget=1e-08)'),
+    ('2d', 8, '816edb45bd292a8f', 'KernelSpec(nu=2.5, lam=0.6769451400370108, sigma2=0.21722888145280028, nugget=1e-08)'),
+    ('2d', 9, '3ffda5daf450cde1', 'KernelSpec(nu=2.5, lam=0.7140746063809787, sigma2=0.24699077999898203, nugget=1e-08)'),
+]
+
+
+class TestMiceRunBits:
+    @pytest.mark.parametrize(
+        "shape, seed, digest, spec", _PINNED_RUNS,
+        ids=[f"{c[0]}-seed{c[1]}" for c in _PINNED_RUNS],
+    )
+    def test_mice_run_is_bitwise_pinned(self, shape, seed, digest, spec):
+        sim, domain, n_target, kwargs = _BITS_SHAPES[shape]
+        model = mice_run(sim, domain, n_target, seed=seed, **kwargs)
+        data = model.X.tobytes() + model.y.tobytes() + model.alpha.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+        assert repr(model.spec) == spec
 
 
 class TestMiceRunInputs:
@@ -708,4 +799,6 @@ class TestSimulatorFailures:
 
         with pytest.raises(SimulatorError) as err:
             mice_run(flaky, (0.0, math.pi), 6, nu=2.5, seed=1)
-        assert err.value.x is not None
+        # The shared run step tags the one level, and x is the failing input.
+        assert err.value.level == 1
+        assert err.value.x.tolist() == [calls[-1]]

@@ -387,6 +387,36 @@ class TestMlasceRun:
         assert calls["fit"] == calls["score"] == len(em.ledger)
         assert calls["_select"] == greedy
 
+    @pytest.mark.parametrize("fixed", [False, True], ids=["fitted", "fixed-spec"])
+    def test_mice_run_takes_the_same_step(self, monkeypatch, fixed):
+        # mice_run is the one-level case of the loop: each of its n_target
+        # points costs one refit (design.fit, or GPModel.from_spec for a
+        # fixed spec) and one score, and only the points after the
+        # n_initial openings run _select.
+        from mlasce import design
+
+        calls = {"refit": 0, "_select": 0, "score": 0}
+
+        def spying(owner, name, key):
+            real = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+
+        if fixed:
+            spying(GPModel, "from_spec", "refit")
+        else:
+            spying(design, "fit", "refit")
+        spying(emulator, "_select", "_select")
+        spying(emulator, "score", "score")
+        spec = KernelSpec(nu=2.5, lam=0.6, sigma2=1.0, nugget=1e-8) if fixed else None
+        model = design.mice_run(f1, DOMAIN, 9, nu=2.5, seed=3, n_grid=41, n_initial=4, spec=spec)
+        assert model.n == 9
+        assert calls == {"refit": 9, "_select": 9 - 4, "score": 9}
+
 
     def test_candidates_run_out(self):
         # Five candidates per level and a budget far above 5 * (4 + 20 + 80):

@@ -20,6 +20,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,10 @@ from mlasce.artifact import save_artifact
 from mlasce.bench import TOY3, ladder_for
 from mlasce.cli import main
 from mlasce.emulator import mlasce_run
+
+# Every overflow the CLI meets is handled where it happens: a numpy
+# RuntimeWarning on the way to an exit code fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 EXIT_CODES = {0, 2, 3, 4}

@@ -64,6 +64,17 @@ def test_import_loads_no_heavy_modules():
     assert run_fresh(code) == "[]"
 
 
+@pytest.mark.parametrize("first", ["mlasce.design", "mlasce.emulator"])
+def test_mice_run_finds_its_loop_whichever_module_loads_first(first):
+    # emulator imports design, so mice_run imports emulator._grow when it
+    # is called; that must resolve from a fresh interpreter either way.
+    code = (
+        f"import {first}; from mlasce.design import mice_run; "
+        "print(mice_run(lambda x: float(x[0]), (0.0, 1.0), 4, nu=2.5, n_grid=11).n)"
+    )
+    assert run_fresh(code) == "4"
+
+
 @pytest.mark.parametrize(
     "first, then",
     [("mlasce.kernels", "scipy.linalg.lapack"), ("scipy.linalg.lapack", "mlasce.kernels")],
